@@ -85,29 +85,52 @@ int Placement::RuleCount(int machine, int rule) const {
   return count;
 }
 
+// Resources, then schedulability of the services present, then only the
+// anti-affinity rules naming one of them, in ascending rule id. That is
+// exact: Cluster::Validate rejects negative limits, so a rule with no
+// container here counts 0 <= max_per_machine and never fires, and the
+// ascending order reports the same first violation as a scan of all rules.
+Status Placement::CheckMachine(int m, std::vector<int>& rules) const {
+  for (int r = 0; r < cluster_->num_resources(); ++r) {
+    if (used_[m][r] > cluster_->machine(m).capacity[r] + kCapacityTolerance) {
+      return FailedPreconditionError(StrFormat(
+          "machine %d over capacity on resource %d: %g > %g", m, r,
+          used_[m][r], cluster_->machine(m).capacity[r]));
+    }
+  }
+  rules.clear();
+  for (const auto& [s, count] : by_machine_[m]) {
+    if (count > 0 && !cluster_->CanHost(m, s)) {
+      return FailedPreconditionError(
+          StrFormat("machine %d cannot host service %d", m, s));
+    }
+    const std::vector<int>& of = cluster_->RulesOfService(s);
+    rules.insert(rules.end(), of.begin(), of.end());
+  }
+  std::sort(rules.begin(), rules.end());
+  rules.erase(std::unique(rules.begin(), rules.end()), rules.end());
+  for (int k : rules) {
+    const int count = RuleCount(m, k);
+    const int limit = cluster_->anti_affinity()[k].max_per_machine;
+    if (count > limit) {
+      return FailedPreconditionError(StrFormat(
+          "machine %d violates anti-affinity rule %d (%d > %d)", m, k, count,
+          limit));
+    }
+  }
+  return Status::OK();
+}
+
+Status Placement::CheckMachines(const std::vector<int>& machines) const {
+  std::vector<int> rules;
+  for (int m : machines) RASA_RETURN_IF_ERROR(CheckMachine(m, rules));
+  return Status::OK();
+}
+
 Status Placement::CheckFeasible(bool check_sla) const {
+  std::vector<int> rules;
   for (int m = 0; m < cluster_->num_machines(); ++m) {
-    for (int r = 0; r < cluster_->num_resources(); ++r) {
-      if (used_[m][r] > cluster_->machine(m).capacity[r] + kCapacityTolerance) {
-        return FailedPreconditionError(StrFormat(
-            "machine %d over capacity on resource %d: %g > %g", m, r,
-            used_[m][r], cluster_->machine(m).capacity[r]));
-      }
-    }
-    for (const auto& [s, count] : by_machine_[m]) {
-      if (count > 0 && !cluster_->CanHost(m, s)) {
-        return FailedPreconditionError(
-            StrFormat("machine %d cannot host service %d", m, s));
-      }
-    }
-    for (size_t k = 0; k < cluster_->anti_affinity().size(); ++k) {
-      const AntiAffinityRule& rule = cluster_->anti_affinity()[k];
-      if (RuleCount(m, static_cast<int>(k)) > rule.max_per_machine) {
-        return FailedPreconditionError(StrFormat(
-            "machine %d violates anti-affinity rule %zu (%d > %d)", m, k,
-            RuleCount(m, static_cast<int>(k)), rule.max_per_machine));
-      }
-    }
+    RASA_RETURN_IF_ERROR(CheckMachine(m, rules));
   }
   if (check_sla) {
     for (int s = 0; s < cluster_->num_services(); ++s) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/metrics.h"
 #include "common/strings.h"
 
 namespace rasa {
@@ -32,6 +33,16 @@ int DeficitOn(const Placement& current, const Placement& target, int machine,
 
 }  // namespace
 
+std::vector<int> TouchedMachines(const std::vector<MigrationCommand>& batch) {
+  std::vector<int> machines;
+  machines.reserve(batch.size());
+  for (const MigrationCommand& cmd : batch) machines.push_back(cmd.machine);
+  std::sort(machines.begin(), machines.end());
+  machines.erase(std::unique(machines.begin(), machines.end()),
+                 machines.end());
+  return machines;
+}
+
 int MinAliveFloor(int demand, double min_alive_fraction) {
   if (demand <= 0) return 0;
   const int requested =
@@ -56,14 +67,13 @@ StatusOr<MigrationPlan> ComputeMigrationPath(const Cluster& cluster,
   std::vector<int> pending_creates(N, 0);
   std::vector<int> pending_deletes(N, 0);
   for (int s = 0; s < N; ++s) {
-    int surplus = 0;
-    int deficit = 0;
-    for (int m = 0; m < M; ++m) {
-      surplus += SurplusOn(current, target, m, s);
-      deficit += DeficitOn(current, target, m, s);
+    // Surplus summed over the machines hosting s; deficit follows because
+    // surplus - deficit == TotalOf(current) - TotalOf(target).
+    for (const auto& [m, count] : current.MachinesOf(s)) {
+      pending_deletes[s] += std::max(0, count - target.CountOn(m, s));
     }
-    pending_deletes[s] = surplus;
-    pending_creates[s] = deficit;
+    pending_creates[s] =
+        pending_deletes[s] - current.TotalOf(s) + target.TotalOf(s);
   }
 
   // SLA floor (shared with validator and executor; see MinAliveFloor for
@@ -200,6 +210,7 @@ Status ValidateMigrationPlan(const Cluster& cluster, const Placement& original,
                              const Placement& target,
                              const MigrationPlan& plan,
                              double min_alive_fraction) {
+  TraceSpan span("validate_plan");
   Placement current = original;
   size_t batch_index = 0;
   for (const std::vector<MigrationCommand>& batch : plan.batches) {
@@ -215,7 +226,9 @@ Status ValidateMigrationPlan(const Cluster& cluster, const Placement& original,
         current.Add(cmd.machine, cmd.service);
       }
     }
-    RASA_RETURN_IF_ERROR(current.CheckFeasible(/*check_sla=*/false));
+    RASA_RETURN_IF_ERROR(batch_index == 0
+                             ? current.CheckFeasible(/*check_sla=*/false)
+                             : current.CheckMachines(TouchedMachines(batch)));
     // The last batch may hold stranded deletes, after which under-deployment
     // is the (reported) end state; every intermediate batch honors the SLA.
     const bool last = batch_index + 1 == plan.batches.size();
@@ -232,8 +245,10 @@ Status ValidateMigrationPlan(const Cluster& cluster, const Placement& original,
     }
     ++batch_index;
   }
-  // Final state must equal the target exactly.
+  // Final state must equal the target exactly; the per-service scan runs
+  // only on a machine whose rows differ, to name the first mismatch.
   for (int m = 0; m < cluster.num_machines(); ++m) {
+    if (current.ServicesOn(m) == target.ServicesOn(m)) continue;
     for (int s = 0; s < cluster.num_services(); ++s) {
       if (current.CountOn(m, s) != target.CountOn(m, s)) {
         return FailedPreconditionError(StrFormat(

@@ -54,6 +54,10 @@ struct MigrationOptions {
 /// definition.
 int MinAliveFloor(int demand, double min_alive_fraction);
 
+/// Machines named by `batch`'s commands, ascending and without repeats: the
+/// only placement rows applying the batch can change.
+std::vector<int> TouchedMachines(const std::vector<MigrationCommand>& batch);
+
 /// Computes a migration path from `original` to `target` with Algorithm 2:
 /// per iteration, each machine deletes the to-be-migrated container whose
 /// service has the lowest offline ratio (if SLA allows), then each machine
@@ -66,7 +70,10 @@ StatusOr<MigrationPlan> ComputeMigrationPath(
 /// Replays `plan` from `original`, verifying after every batch that
 /// resources/anti-affinity/schedulability hold and that every service keeps
 /// `min_alive_fraction` of its demand alive; verifies the final state
-/// equals `target`. Used by tests and the CronJob executor.
+/// equals `target`. Used by tests and the CronJob executor. Batch 0 gets a
+/// full-cluster audit; every later batch audits only its TouchedMachines,
+/// which reports the same first violation because all other machines
+/// passed before and their rows did not change.
 Status ValidateMigrationPlan(const Cluster& cluster, const Placement& original,
                              const Placement& target,
                              const MigrationPlan& plan,

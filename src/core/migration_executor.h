@@ -19,6 +19,11 @@ class WorkflowJournal;  // core/recovery.h
 /// simulator applies commands to a `Placement` (optionally through a fault
 /// injector). Implementations may fail any command — the executor retries,
 /// re-batches and re-plans around failures.
+///
+/// Contract: a command changes the live placement only on the machine it
+/// names (its row of used resources and hosted services). The executor
+/// relies on it to audit, after a batch, only the machines the batch's
+/// commands named.
 class ClusterActions {
  public:
   virtual ~ClusterActions() = default;
@@ -122,11 +127,12 @@ struct MigrationExecutionReport {
 /// directly — `live` changes only through commands `actions` accepted, so
 /// the executor's view always matches what actually happened. Failed
 /// commands are retried per `options.retry`; the SLA floor and resource
-/// feasibility are re-verified after every partial step; when a pass over
-/// the plan leaves stragglers, the executor re-plans from the
-/// actually-reached placement (routing around cordoned machines) up to
-/// `max_replans` times. Always returns a report — chaos is expected, not
-/// exceptional.
+/// feasibility are re-verified after every partial step (feasibility over
+/// the batch's touched machines once a full audit has passed; see
+/// ClusterActions); when a pass over the plan leaves stragglers, the
+/// executor re-plans from the actually-reached placement (routing around
+/// cordoned machines) up to `max_replans` times. Always returns a report —
+/// chaos is expected, not exceptional.
 MigrationExecutionReport ExecuteMigration(const Cluster& cluster,
                                           Placement& live,
                                           const Placement& target,

@@ -34,12 +34,21 @@ SolveLedger& SolveLedger::Default() {
   return *ledger;
 }
 
+void SolveLedger::AppendLocked(LedgerRecord record) {
+  if (records_.size() < kCapacity) {
+    records_.push_back(std::move(record));
+    return;
+  }
+  records_[oldest_] = std::move(record);
+  oldest_ = (oldest_ + 1) % kCapacity;
+}
+
 void SolveLedger::Append(LedgerRecord record) {
   static Counter& appended =
       MetricRegistry::Default().GetCounter("ledger.records");
   appended.Increment();
   std::lock_guard<std::mutex> lock(mu_);
-  records_.push_back(std::move(record));
+  AppendLocked(std::move(record));
 }
 
 void SolveLedger::AppendAll(const std::vector<LedgerRecord>& records) {
@@ -47,12 +56,14 @@ void SolveLedger::AppendAll(const std::vector<LedgerRecord>& records) {
       MetricRegistry::Default().GetCounter("ledger.records");
   appended.Increment(records.size());
   std::lock_guard<std::mutex> lock(mu_);
-  records_.insert(records_.end(), records.begin(), records.end());
+  for (const LedgerRecord& record : records) AppendLocked(record);
 }
 
 std::vector<LedgerRecord> SolveLedger::Records() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return records_;
+  std::vector<LedgerRecord> out(records_.begin() + oldest_, records_.end());
+  out.insert(out.end(), records_.begin(), records_.begin() + oldest_);
+  return out;
 }
 
 size_t SolveLedger::size() const {
@@ -63,6 +74,7 @@ size_t SolveLedger::size() const {
 void SolveLedger::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
   records_.clear();
+  oldest_ = 0;
 }
 
 void SetSolveLedgerEnabled(bool enabled) {

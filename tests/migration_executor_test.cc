@@ -5,6 +5,7 @@
 
 #include "cluster/first_fit.h"
 #include "cluster/generator.h"
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "core/migration.h"
 #include "gtest/gtest.h"
@@ -247,6 +248,126 @@ TEST(MigrationExecutorTest, AuditDetectsByzantineOverDeletes) {
   // The run must complete with a report (never throw/crash) and flag the
   // violation the moment the floor is actually breached.
   EXPECT_GT(report.sla_violations, 0);
+}
+
+// The executor audits every machine after a pass's first batch and after a
+// failed audit, and only the batch's touched machines otherwise. Under
+// command failures, a cordon and re-plans, its violation count must equal
+// what a full-cluster audit after every batch counts. The full audit runs
+// from the crash_after_batch hook, which sees each batch right after the
+// executor's own audit and never stops the run.
+TEST(MigrationExecutorTest, ScopedAuditsCountLikeFullAudits) {
+  for (int seed : {1, 2, 6}) {
+    Scenario sc = MakeScenario(seed);
+    const Cluster& cluster = *sc.snapshot.cluster;
+    Placement live = sc.snapshot.original_placement;
+    FaultInjectionOptions fopts;
+    fopts.command_failure_probability = 0.35;
+    fopts.cordon_after_commands = 15;
+    fopts.cordon_duration_cycles = 0;
+    fopts.seed = 500 + seed;
+    FaultInjector injector(fopts);
+    PlacementActions base(live);
+    FaultyClusterActions actions(base, injector);
+    MigrationExecutorOptions opts;
+    opts.retry.max_attempts = 2;
+    int full_audit_violations = 0;
+    int hooked_batches = 0;
+    opts.crash_after_batch = [&] {
+      ++hooked_batches;
+      if (!live.CheckFeasible(/*check_sla=*/false).ok()) {
+        ++full_audit_violations;
+      }
+      return false;
+    };
+    const MigrationExecutionReport report =
+        ExecuteMigration(cluster, live, sc.target, sc.plan, actions, opts);
+    EXPECT_GE(report.replans, 1) << "seed " << seed;
+    EXPECT_GT(report.commands_failed, 0) << "seed " << seed;
+    EXPECT_EQ(hooked_batches, report.batches_executed) << "seed " << seed;
+    EXPECT_EQ(report.feasibility_violations, full_audit_violations)
+        << "seed " << seed;
+  }
+}
+
+// A violation on a machine no command touches persists through the whole
+// pass: the failed first-batch audit keeps every later audit full, so the
+// count still equals one per batch, exactly as a full audit would report.
+TEST(MigrationExecutorTest, PersistentViolationOnUntouchedMachineCountsEveryBatch) {
+  auto cluster = ClusterBuilder()
+                     .AddService(4, {1.0})
+                     .AddService(2, {1.0})
+                     .AddMachine({8.0})
+                     .AddMachine({8.0})
+                     .AddMachine({8.0})
+                     .AddRule({1}, 1)
+                     .Build();
+  Placement from(*cluster);
+  from.Add(0, 0, 4);
+  from.Add(2, 1, 2);  // 2 > 1: violates rule 0 on machine 2
+  Placement to(*cluster);
+  to.Add(0, 0, 1);
+  to.Add(1, 0, 3);
+  to.Add(2, 1, 2);
+  StatusOr<MigrationPlan> plan = ComputeMigrationPath(*cluster, from, to);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  ASSERT_GE(plan->batches.size(), 2u);
+  for (const auto& batch : plan->batches) {
+    for (const MigrationCommand& cmd : batch) ASSERT_NE(cmd.machine, 2);
+  }
+  Placement live = from;
+  PlacementActions actions(live);
+  MigrationExecutorOptions opts;
+  int full_audit_violations = 0;
+  opts.crash_after_batch = [&] {
+    if (!live.CheckFeasible(/*check_sla=*/false).ok()) ++full_audit_violations;
+    return false;
+  };
+  const MigrationExecutionReport report =
+      ExecuteMigration(*cluster, live, to, *plan, actions, opts);
+  EXPECT_TRUE(report.reached_target);
+  EXPECT_EQ(full_audit_violations, report.batches_executed);
+  EXPECT_EQ(report.feasibility_violations, full_audit_violations);
+}
+
+// The migration layer's spans are observation-only: validation and
+// execution give the same statuses, reports and placements with the tracer
+// on or off, and the traced run records `validate_plan` and one
+// `migration_audit` per executed batch.
+TEST(MigrationExecutorTest, MigrationSpansAreObservationOnly) {
+  Scenario sc = MakeScenario(2);
+  const Cluster& cluster = *sc.snapshot.cluster;
+  auto run = [&](bool traced, Placement* live, MigrationExecutionReport* out) {
+    Tracer::Default().Reset();
+    Tracer::Default().Enable(traced);
+    const Status valid = ValidateMigrationPlan(
+        cluster, sc.snapshot.original_placement, sc.target, sc.plan);
+    *live = sc.snapshot.original_placement;
+    PlacementActions actions(*live);
+    *out = ExecuteMigration(cluster, *live, sc.target, sc.plan, actions);
+    Tracer::Default().Enable(false);
+    return valid;
+  };
+  Placement plain_live, traced_live;
+  MigrationExecutionReport plain, traced;
+  ASSERT_TRUE(run(false, &plain_live, &plain).ok());
+  ASSERT_TRUE(run(true, &traced_live, &traced).ok());
+  int validate_spans = 0;
+  int audit_spans = 0;
+  for (const TraceEvent& e : Tracer::Default().Events()) {
+    validate_spans += e.name == "validate_plan";
+    audit_spans += e.name == "migration_audit";
+  }
+  Tracer::Default().Reset();
+  EXPECT_EQ(validate_spans, 1);
+  EXPECT_EQ(audit_spans, traced.batches_executed);
+  EXPECT_EQ(plain.batches_executed, traced.batches_executed);
+  EXPECT_EQ(plain.commands_succeeded, traced.commands_succeeded);
+  EXPECT_EQ(plain.feasibility_violations, traced.feasibility_violations);
+  EXPECT_EQ(plain.sla_violations, traced.sla_violations);
+  EXPECT_TRUE(traced.reached_target);
+  EXPECT_EQ(plain_live.DiffCount(traced_live), 0);
+  EXPECT_EQ(traced_live.DiffCount(plain_live), 0);
 }
 
 }  // namespace

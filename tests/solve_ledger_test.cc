@@ -9,6 +9,7 @@
 
 #include "cluster/generator.h"
 #include "common/logging.h"
+#include "common/metrics.h"
 #include "core/rasa.h"
 #include "core/solve_ledger.h"
 #include "gtest/gtest.h"
@@ -58,26 +59,83 @@ TEST(SolveLedgerTest, OutcomeNames) {
   EXPECT_STREQ(AttemptOutcomeToString(AttemptOutcome::kPruned), "pruned");
 }
 
-TEST(SolveLedgerTest, ConcurrentAppendsLoseNothing) {
+// A fixed-capacity ring: appends past kCapacity overwrite the oldest
+// records, the snapshot stays oldest-first, and size() stops growing. The
+// ledger.records counter still counts every append.
+TEST(SolveLedgerTest, RingKeepsNewestRecordsInOrder) {
+  constexpr int kCapacity = static_cast<int>(SolveLedger::kCapacity);
+  constexpr int kExtra = 37;
+  Counter& appended = MetricRegistry::Default().GetCounter("ledger.records");
+  const uint64_t before = appended.Value();
   SolveLedger ledger;
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 500;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&ledger, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        ledger.Append(MakeRecord(t * kPerThread + i, 0.0));
-      }
-    });
+  for (int i = 0; i < kCapacity + kExtra - 3; ++i) {
+    ledger.Append(MakeRecord(i, 0.0));
   }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(ledger.size(), static_cast<size_t>(kThreads * kPerThread));
+  ledger.AppendAll({MakeRecord(kCapacity + kExtra - 3, 0.0),
+                    MakeRecord(kCapacity + kExtra - 2, 0.0),
+                    MakeRecord(kCapacity + kExtra - 1, 0.0)});
+  EXPECT_EQ(ledger.size(), SolveLedger::kCapacity);
+  EXPECT_EQ(appended.Value() - before,
+            static_cast<uint64_t>(kCapacity + kExtra));
+  const std::vector<LedgerRecord> records = ledger.Records();
+  ASSERT_EQ(records.size(), SolveLedger::kCapacity);
+  for (int i = 0; i < kCapacity; ++i) {
+    ASSERT_EQ(records[i].subproblem, kExtra + i) << "slot " << i;
+  }
 
-  // Every record arrived exactly once.
-  std::vector<int> seen(kThreads * kPerThread, 0);
-  for (const LedgerRecord& r : ledger.Records()) ++seen[r.subproblem];
+  ledger.Reset();
+  EXPECT_EQ(ledger.size(), 0u);
+  ledger.Append(MakeRecord(7, 0.0));
+  ASSERT_EQ(ledger.Records().size(), 1u);
+  EXPECT_EQ(ledger.Records()[0].subproblem, 7);
+}
+
+// 8 threads append concurrently, first filling the ring exactly (every
+// record must arrive exactly once), then overrunning it 15x (every append
+// is counted, and what stays is the newest kCapacity: per thread, a run of
+// its last appends in append order).
+TEST(SolveLedgerTest, ConcurrentAppendsLoseNothing) {
+  constexpr int kThreads = 8;
+  auto append_concurrently = [](SolveLedger& ledger, int per_thread) {
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&ledger, t, per_thread] {
+        for (int i = 0; i < per_thread; ++i) {
+          ledger.Append(MakeRecord(t * per_thread + i, 0.0));
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+  };
+
+  constexpr int kFill = static_cast<int>(SolveLedger::kCapacity) / kThreads;
+  SolveLedger filled;
+  append_concurrently(filled, kFill);
+  EXPECT_EQ(filled.size(), static_cast<size_t>(kThreads * kFill));
+  std::vector<int> seen(kThreads * kFill, 0);
+  for (const LedgerRecord& r : filled.Records()) ++seen[r.subproblem];
   for (int count : seen) EXPECT_EQ(count, 1);
+
+  constexpr int kPerThread = 500;
+  Counter& appended = MetricRegistry::Default().GetCounter("ledger.records");
+  const uint64_t before = appended.Value();
+  SolveLedger overrun;
+  append_concurrently(overrun, kPerThread);
+  EXPECT_EQ(appended.Value() - before,
+            static_cast<uint64_t>(kThreads * kPerThread));
+  EXPECT_EQ(overrun.size(), SolveLedger::kCapacity);
+  std::vector<std::vector<int>> kept(kThreads);
+  for (const LedgerRecord& r : overrun.Records()) {
+    kept[r.subproblem / kPerThread].push_back(r.subproblem % kPerThread);
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    for (size_t k = 0; k < kept[t].size(); ++k) {
+      EXPECT_EQ(kept[t][k],
+                kPerThread - static_cast<int>(kept[t].size() - k))
+          << "thread " << t;
+    }
+  }
 }
 
 TEST(SolveLedgerTest, EnableSwitchGatesOptimizerAppends) {
