@@ -4,22 +4,17 @@
 // DEFAULTS to scale 1 (RASA_BENCH_SCALE still overrides it; the ctest
 // smoke fixture runs at 96), generates + partitions + optimizes M4 through
 // the CSR affinity view and arena-backed solvers, and asserts a peak-RSS
-// budget on the whole process.
-//
-// The POP replica-split fallback is enabled (pop.max_services below the
-// partitioner ceiling) so oversized subproblems exercise the split; each
-// phase row reports peak RSS so far, and the optimize row reports the POP
-// quality loss measured against the optimality-gap certificate (whose
-// terms stay at the trivial bound with source "pop").
+// budget on the whole process. Each phase row reports peak RSS so far; the
+// optimize row also reports the optimality-gap certificate.
 //
 // Environment knobs (on top of the usual bench_util ones):
 //   RASA_BENCH_SCALE         downscale divisor, DEFAULT 1 here (paper size)
 //   RASA_BENCH_TIMEOUT       solver budget seconds, default 60 here (the
 //                            paper's one-minute SLO at full scale)
 //   RASA_BENCH_RSS_MB        peak-RSS budget in MiB (default 2048)
-//   RASA_BENCH_NO_THRESHOLD  skip the RSS and POP-exercised asserts (the
-//                            tiny smoke run keeps only the completion and
-//                            certificate-soundness checks)
+//   RASA_BENCH_NO_THRESHOLD  skip the RSS assert (the tiny smoke run keeps
+//                            only the completion and certificate-soundness
+//                            checks)
 //
 // Machine-readable output: BENCH_fullscale.json (one row per phase).
 
@@ -134,15 +129,11 @@ int main() {
       .Field("seconds", part_seconds)
       .Field("peak_rss_mb", PeakRssMb());
 
-  // --- Phase 3: optimize (POP enabled) -------------------------------------
+  // --- Phase 3: optimize ---------------------------------------------------
   RasaOptions options;
   options.timeout_seconds = timeout;
   options.compute_migration = false;
   options.num_threads = 8;
-  // Split anything the balance slack let grow past the target subproblem
-  // size: at factor 1 that exercises the POP path on the heavy tail.
-  options.pop.max_services = 24;
-  options.pop.num_replicas = 2;
   RasaOptimizer optimizer(options,
                           AlgorithmSelector(SelectorPolicy::kHeuristic));
   Stopwatch opt_timer;
@@ -151,28 +142,22 @@ int main() {
   const double opt_seconds = opt_timer.ElapsedSeconds();
   RASA_CHECK(result.ok()) << result.status().ToString();
 
-  // Certificate soundness around POP: every "pop" term stays untightened
-  // at the trivial bound, and the reported quality loss matches it.
-  int pop_terms = 0;
-  for (size_t i = 0; i < result->subproblems.size(); ++i) {
-    const SubproblemReport& report = result->subproblems[i];
-    const CertificateTerm& term = result->report.certificate.terms[i];
-    if (!report.used_pop) continue;
-    ++pop_terms;
-    RASA_CHECK(term.source == "pop");
-    RASA_CHECK(!term.tightened);
-    RASA_CHECK(term.bound == report.internal_affinity);
+  // Certificate soundness: no term bounds below what its subproblem
+  // realized, so the cluster bound covers the achieved value.
+  const QualityCertificate& certificate = result->report.certificate;
+  for (const CertificateTerm& term : certificate.terms) {
+    RASA_CHECK(term.bound >= term.realized - 1e-9);
   }
-  RASA_CHECK(pop_terms == result->pop_splits);
+  RASA_CHECK(certificate.bound_final >= certificate.achieved_final - 1e-9);
 
   std::printf("optimize: gained affinity %.4f -> %.4f in %.2fs "
               "(%d threads, peak RSS %.0f MiB)\n",
               result->original_gained_affinity, result->new_gained_affinity,
               opt_seconds, result->num_threads_used, PeakRssMb());
-  std::printf("POP: %d subproblems split; quality loss %.6f against the "
-              "certificate's trivial bounds (optimality gap %.6f)\n",
-              result->pop_splits, result->pop_quality_loss,
-              result->report.certificate.Gap());
+  std::printf("certificate: optimality gap %.6f (%d of %zu terms "
+              "tightened)\n",
+              certificate.Gap(), certificate.tightened_terms,
+              certificate.terms.size());
   json.BeginRow()
       .Field("phase", "optimize")
       .Field("scale", static_cast<int>(scale))
@@ -180,9 +165,7 @@ int main() {
       .Field("seconds", opt_seconds)
       .Field("gained_affinity_before", result->original_gained_affinity)
       .Field("gained_affinity_after", result->new_gained_affinity)
-      .Field("pop_splits", result->pop_splits)
-      .Field("pop_quality_loss", result->pop_quality_loss)
-      .Field("certificate_gap", result->report.certificate.Gap())
+      .Field("certificate_gap", certificate.Gap())
       .Field("peak_rss_mb", PeakRssMb());
 
   const double peak = PeakRssMb();
@@ -192,10 +175,6 @@ int main() {
   if (thresholds) {
     RASA_CHECK(peak < rss_budget)
         << "peak RSS " << peak << " MiB exceeds budget " << rss_budget;
-    // The whole point of the bench: the POP path must actually run at
-    // scale, not just exist.
-    RASA_CHECK(result->pop_splits > 0)
-        << "no subproblem exceeded pop.max_services; POP not exercised";
   }
   std::printf("OK\n");
   return 0;

@@ -10,6 +10,7 @@
 //   RASA_BENCH_JSON_DIR directory for machine-readable BENCH_<name>.json
 //                       result files (default: current directory)
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -102,7 +103,10 @@ class BenchJsonWriter {
     return Field(key, std::string(value));
   }
   BenchJsonWriter& Field(const std::string& key, double value) {
-    rows_.back().emplace_back(key, StrFormat("%.17g", value));
+    // JSON has no NaN/Inf: non-finite values degrade to null, as in
+    // JsonWriter, so the strict reader accepts every file this writes.
+    rows_.back().emplace_back(
+        key, std::isfinite(value) ? StrFormat("%.17g", value) : "null");
     return *this;
   }
   BenchJsonWriter& Field(const std::string& key, int value) {

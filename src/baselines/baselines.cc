@@ -37,26 +37,11 @@ double GlobalMarginalGain(const Cluster& cluster, const Placement& placement,
   return gain;
 }
 
-int FallbackPlaceOne(const Cluster& cluster, Placement& placement,
-                     int service) {
-  int best = -1;
-  double best_free = -1e300;
-  for (int m = 0; m < cluster.num_machines(); ++m) {
-    if (!placement.CanPlace(m, service)) continue;
-    double min_free = 1.0;
-    for (int r = 0; r < cluster.num_resources(); ++r) {
-      const double cap = cluster.machine(m).capacity[r];
-      if (cap > 0.0) {
-        min_free = std::min(min_free, placement.FreeResource(m, r) / cap);
-      }
-    }
-    if (min_free > best_free) {
-      best_free = min_free;
-      best = m;
-    }
-  }
-  if (best >= 0) placement.Add(best, service);
-  return best;
+// Default-scheduler fallback for one container; the machine used or -1.
+int FallbackPlaceOne(Placement& placement, int service) {
+  const int m = LeastAllocatedMachine(placement, service);
+  if (m >= 0) placement.Add(m, service);
+  return m;
 }
 
 }  // namespace
@@ -95,15 +80,8 @@ StatusOr<BaselineResult> RunK8sPlus(const Cluster& cluster,
       for (int m = 0; m < cluster.num_machines(); ++m) {
         if (!placement.CanPlace(m, s)) continue;  // filter
         // Score: affinity gain dominates, least-allocated breaks ties.
-        double min_free = 1.0;
-        for (int r = 0; r < cluster.num_resources(); ++r) {
-          const double cap = cluster.machine(m).capacity[r];
-          if (cap > 0.0) {
-            min_free = std::min(min_free, placement.FreeResource(m, r) / cap);
-          }
-        }
-        const double score =
-            GlobalMarginalGain(cluster, placement, s, m) + 1e-4 * min_free;
+        const double score = GlobalMarginalGain(cluster, placement, s, m) +
+                             1e-4 * placement.MinFreeFraction(m);
         if (score > best_score) {
           best_score = score;
           best = m;
@@ -186,7 +164,7 @@ StatusOr<BaselineResult> RunPop(const Cluster& cluster,
   }
   for (int s = 0; s < N; ++s) {
     for (int c = 0; c < unplaced[s]; ++c) {
-      if (FallbackPlaceOne(cluster, working, s) < 0) ++result.lost_containers;
+      if (FallbackPlaceOne(working, s) < 0) ++result.lost_containers;
     }
   }
   result.gained_affinity = GainedAffinity(cluster, working);
@@ -350,7 +328,7 @@ StatusOr<BaselineResult> RunApplsci19(const Cluster& cluster,
   for (int s = 0; s < N; ++s) {
     const int missing = cluster.service(s).demand - placement.TotalOf(s);
     for (int c = 0; c < missing; ++c) {
-      if (FallbackPlaceOne(cluster, placement, s) < 0) {
+      if (FallbackPlaceOne(placement, s) < 0) {
         ++result.lost_containers;
       }
     }

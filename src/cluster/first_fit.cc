@@ -5,6 +5,25 @@
 #include "common/strings.h"
 
 namespace rasa {
+namespace {
+
+// The feasible machine with the lowest MinFreeFraction (packs tightly);
+// the lowest id wins ties, -1 when nothing fits.
+int MostAllocatedMachine(const Placement& placement, int service) {
+  int best = -1;
+  double best_score = -1e300;
+  for (int m = 0; m < placement.cluster()->num_machines(); ++m) {
+    if (!placement.CanPlace(m, service)) continue;
+    const double score = -placement.MinFreeFraction(m);
+    if (score > best_score) {
+      best_score = score;
+      best = m;
+    }
+  }
+  return best;
+}
+
+}  // namespace
 
 StatusOr<Placement> FirstFitPlace(const Cluster& cluster, Rng& rng,
                                   FirstFitScore score, bool shuffle) {
@@ -13,30 +32,12 @@ StatusOr<Placement> FirstFitPlace(const Cluster& cluster, Rng& rng,
   for (int s = 0; s < cluster.num_services(); ++s) order[s] = s;
   if (shuffle) rng.Shuffle(order);
 
-  const int R = cluster.num_resources();
   for (int s : order) {
     const Service& svc = cluster.service(s);
     for (int c = 0; c < svc.demand; ++c) {
-      int best = -1;
-      double best_score = -1e300;
-      for (int m = 0; m < cluster.num_machines(); ++m) {
-        if (!placement.CanPlace(m, s)) continue;  // the "filter" step
-        // The "score" step: free fraction of the most loaded resource.
-        double min_free_frac = 1.0;
-        for (int r = 0; r < R; ++r) {
-          const double cap = cluster.machine(m).capacity[r];
-          if (cap <= 0.0) continue;
-          min_free_frac = std::min(min_free_frac,
-                                   placement.FreeResource(m, r) / cap);
-        }
-        const double value = score == FirstFitScore::kLeastAllocated
-                                 ? min_free_frac
-                                 : -min_free_frac;
-        if (value > best_score) {
-          best_score = value;
-          best = m;
-        }
-      }
+      const int best = score == FirstFitScore::kLeastAllocated
+                           ? LeastAllocatedMachine(placement, s)
+                           : MostAllocatedMachine(placement, s);
       if (best < 0) {
         return ResourceExhaustedError(StrFormat(
             "no feasible machine for container %d of service %s", c,

@@ -144,6 +144,17 @@ Status Placement::CheckFeasible(bool check_sla) const {
   return Status::OK();
 }
 
+Placement Placement::Rebind(const Cluster& cluster) const {
+  RASA_CHECK(cluster.num_machines() == cluster_->num_machines() &&
+             cluster.num_services() == cluster_->num_services())
+      << "Rebind onto a cluster of a different shape";
+  Placement out(cluster);
+  for (int m = 0; m < cluster.num_machines(); ++m) {
+    for (const auto& [s, count] : by_machine_[m]) out.Add(m, s, count);
+  }
+  return out;
+}
+
 int Placement::DiffCount(const Placement& other) const {
   int moved = 0;
   for (int s = 0; s < cluster_->num_services(); ++s) {

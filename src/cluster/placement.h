@@ -1,6 +1,7 @@
 #ifndef RASA_CLUSTER_PLACEMENT_H_
 #define RASA_CLUSTER_PLACEMENT_H_
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -45,6 +46,19 @@ class Placement {
   double UsedResource(int machine, int r) const { return used_[machine][r]; }
   /// Remaining capacity of resource `r` on `machine`.
   double FreeResource(int machine, int r) const;
+  /// Free fraction of the fullest resource on `machine`: the minimum of
+  /// FreeResource / capacity over resources with positive capacity (1.0
+  /// when there is none). The least-allocated scheduling score.
+  double MinFreeFraction(int machine) const {
+    const std::vector<double>& capacity = cluster_->machine(machine).capacity;
+    double min_free = 1.0;
+    for (int r = 0; r < cluster_->num_resources(); ++r) {
+      const double cap = capacity[r];
+      if (cap <= 0.0) continue;
+      min_free = std::min(min_free, (cap - used_[machine][r]) / cap);
+    }
+    return min_free;
+  }
 
   /// Adds `count` containers of `service` to `machine` without checking
   /// constraints (callers needing checks use CanPlace first).
@@ -73,6 +87,18 @@ class Placement {
   /// `other` — the migration volume between two placements (counts moved
   /// containers once, i.e. sum of positive differences).
   int DiffCount(const Placement& other) const;
+  /// DiffCount in both directions. Zero iff the two placements hold the
+  /// same counts everywhere; DiffCount alone reads a strict subset (an
+  /// under-deployed state) as equal.
+  int SymmetricDiff(const Placement& other) const {
+    return DiffCount(other) + other.DiffCount(*this);
+  }
+
+  /// The same counts re-added onto `cluster`, which must have this
+  /// placement's shape (same machines and services — typically a copy with
+  /// other affinity weights). Resource use is re-accumulated in canonical
+  /// (machine, service) order.
+  Placement Rebind(const Cluster& cluster) const;
 
   const Cluster* cluster() const { return cluster_; }
 
@@ -87,6 +113,31 @@ class Placement {
   std::vector<int> total_of_service_;
   std::vector<int> containers_on_machine_;
 };
+
+/// The filter-and-score step of least-allocated scheduling: among machines
+/// passing `eligible(m)` that can take one more container of `service`,
+/// the one with the highest MinFreeFraction; the lowest id wins ties.
+/// Returns -1 when no machine qualifies.
+template <typename Eligible>
+int LeastAllocatedMachine(const Placement& placement, int service,
+                          Eligible eligible) {
+  int best = -1;
+  double best_score = -1e300;
+  const int num_machines = placement.cluster()->num_machines();
+  for (int m = 0; m < num_machines; ++m) {
+    if (!eligible(m) || !placement.CanPlace(m, service)) continue;
+    const double score = placement.MinFreeFraction(m);
+    if (score > best_score) {
+      best_score = score;
+      best = m;
+    }
+  }
+  return best;
+}
+
+inline int LeastAllocatedMachine(const Placement& placement, int service) {
+  return LeastAllocatedMachine(placement, service, [](int) { return true; });
+}
 
 }  // namespace rasa
 

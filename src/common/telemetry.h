@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "common/metrics.h"
 #include "common/statusor.h"
 
@@ -298,30 +299,6 @@ std::string OpenMetricsName(const std::string& name);
 /// "tid": <recording thread>, "name": ...,
 /// "args": {"id": ..., "parent": ...}}. Open spans are skipped.
 std::string ChromeTraceJson(const std::vector<TraceEvent>& events);
-
-// ---------------------------------------------------------------------------
-// Strict JSON reader (for `rasa_cli tail` and the schema tests)
-// ---------------------------------------------------------------------------
-
-/// Parsed JSON value tree. Numbers are doubles (the only number form the
-/// writers emit); object keys keep insertion order.
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  /// First member with `key`; nullptr when absent or not an object.
-  const JsonValue* Get(const std::string& key) const;
-};
-
-/// Strict parse of exactly one JSON document: trailing non-whitespace,
-/// unterminated strings, bad escapes, and malformed numbers are all
-/// kInvalidArgument with a byte offset. Never crashes on hostile input.
-StatusOr<JsonValue> ParseJson(const std::string& text);
 
 }  // namespace rasa
 

@@ -124,8 +124,7 @@ struct PlacementDiffAudit {
 /// The full explain report of one Optimize run: flight-recorder records in
 /// canonical order, the quality certificate, the attribution waterfall, and
 /// the placement diff. Deterministic: bit-identical at every thread count
-/// and with the ledger on or off (wall-clock fields excepted; JSON render
-/// can exclude them).
+/// (wall-clock fields excepted; JSON render can exclude them).
 struct ExplainReport {
   bool populated = false;
   QualityCertificate certificate;

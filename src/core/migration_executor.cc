@@ -31,23 +31,6 @@ int FloorAlive(const Cluster& cluster, int service, double fraction) {
   return MinAliveFloor(cluster.service(service).demand, fraction);
 }
 
-// Re-binds `src` counts to a placement over `cluster` (the target usually
-// references the measured-cluster copy of the same shape).
-Placement CopyCounts(const Cluster& cluster, const Placement& src) {
-  Placement out(cluster);
-  for (int m = 0; m < cluster.num_machines(); ++m) {
-    for (const auto& [s, count] : src.ServicesOn(m)) out.Add(m, s, count);
-  }
-  return out;
-}
-
-// DiffCount alone is one-sided (containers `a` has that `b` lacks); an
-// under-deployed live state is a strict subset of the target and would
-// read as converged. Convergence needs the symmetric difference.
-int SymmetricDiff(const Placement& a, const Placement& b) {
-  return a.DiffCount(b) + b.DiffCount(a);
-}
-
 // Post-batch audit: resource/anti-affinity feasibility of the machines
 // `batch` touched (every machine when null) plus the SLA floor against the
 // actually-reached state. Also records the batch's SLA headroom — the
@@ -81,24 +64,10 @@ bool AuditPartialStep(const Cluster& cluster, const Placement& live,
 
 // Least-allocated available machine that can take one container of `s` in
 // `placement`; -1 if none.
-int BestAvailableMachine(const Cluster& cluster, const Placement& placement,
+int BestAvailableMachine(const Placement& placement,
                          const ClusterActions& actions, int s) {
-  int best = -1;
-  double best_score = -1.0;
-  for (int m = 0; m < cluster.num_machines(); ++m) {
-    if (!actions.Available(m) || !placement.CanPlace(m, s)) continue;
-    double min_free_frac = 1.0;
-    for (int r = 0; r < cluster.num_resources(); ++r) {
-      const double cap = cluster.machine(m).capacity[r];
-      if (cap <= 0.0) continue;
-      min_free_frac = std::min(min_free_frac, placement.FreeResource(m, r) / cap);
-    }
-    if (min_free_frac > best_score) {
-      best_score = min_free_frac;
-      best = m;
-    }
-  }
-  return best;
+  return LeastAllocatedMachine(placement, s,
+                               [&](int m) { return actions.Available(m); });
 }
 
 // Rewrites `desired` so no command would target an unavailable machine:
@@ -124,7 +93,7 @@ void AdjustTargetForUnavailable(const Cluster& cluster, const Placement& live,
         // Creates on m are impossible: place the containers elsewhere.
         RASA_CHECK(desired.Remove(m, s, delta).ok());
         for (int i = 0; i < delta; ++i) {
-          int dest = BestAvailableMachine(cluster, desired, actions, s);
+          int dest = BestAvailableMachine(desired, actions, s);
           if (dest < 0) {
             // Cancel the planned move instead: leave the container where it
             // currently lives (a machine with a planned surplus delete).
@@ -194,7 +163,7 @@ void RepairDeficits(const Cluster& cluster, Placement& live,
           break;
         }
       }
-      if (dest < 0) dest = BestAvailableMachine(cluster, live, actions, s);
+      if (dest < 0) dest = BestAvailableMachine(live, actions, s);
       bool created = false;
       if (dest >= 0) {
         RetryStats st;
@@ -344,14 +313,14 @@ MigrationExecutionReport ExecuteMigration(const Cluster& cluster,
                                           const MigrationExecutorOptions& options) {
   MigrationExecutionReport report;
   Rng rng(options.seed);
-  Placement desired = CopyCounts(cluster, target);
+  Placement desired = target.Rebind(cluster);
 
   const MigrationPlan* current_plan = &plan;
   MigrationPlan replanned;
   for (int round = 0;; ++round) {
     ExecutePass(cluster, live, *current_plan, actions, options, rng, report);
     if (report.crashed) return report;  // stopped dead: no metrics, no audit
-    if (SymmetricDiff(live, desired) == 0) {
+    if (live.SymmetricDiff(desired) == 0) {
       report.reached_target = true;
       break;
     }
@@ -361,7 +330,7 @@ MigrationExecutionReport ExecuteMigration(const Cluster& cluster,
     ++report.replans;
     AdjustTargetForUnavailable(cluster, live, desired, actions, report);
     RepairDeficits(cluster, live, desired, actions, options, rng, report);
-    if (SymmetricDiff(live, desired) == 0) {
+    if (live.SymmetricDiff(desired) == 0) {
       report.reached_target = true;
       break;
     }
@@ -379,11 +348,11 @@ MigrationExecutionReport ExecuteMigration(const Cluster& cluster,
     if (replanned.batches.empty()) {
       // Nothing executable remains (all residual moves touch cordoned
       // machines); stop gracefully.
-      report.reached_target = SymmetricDiff(live, desired) == 0;
+      report.reached_target = live.SymmetricDiff(desired) == 0;
       break;
     }
   }
-  report.residual_diff = SymmetricDiff(live, desired);
+  report.residual_diff = live.SymmetricDiff(desired);
 
   // Run-level executor metrics (observation-only; per-batch sizes and SLA
   // headroom are recorded inline above).

@@ -17,32 +17,23 @@
 #include "core/greedy.h"
 #include "core/local_search.h"
 #include "core/objective.h"
-#include "core/solve_ledger.h"
 
 namespace rasa {
 namespace {
 
-// Default-scheduler fallback: least-allocated filter-and-score placement of
-// one container; returns the machine used or -1.
-int FallbackPlaceOne(const Cluster& cluster, Placement& working, int service) {
-  int best = -1;
-  double best_score = -1e300;
-  for (int m = 0; m < cluster.num_machines(); ++m) {
-    if (!working.CanPlace(m, service)) continue;
-    double min_free_frac = 1.0;
-    for (int r = 0; r < cluster.num_resources(); ++r) {
-      const double cap = cluster.machine(m).capacity[r];
-      if (cap <= 0.0) continue;
-      min_free_frac = std::min(min_free_frac,
-                               working.FreeResource(m, r) / cap);
-    }
-    if (min_free_frac > best_score) {
-      best_score = min_free_frac;
-      best = m;
-    }
+// Adds `count` containers of `service` to `machine` when they fit together,
+// else as many as fit one at a time; returns how many landed.
+int PlaceUpTo(Placement& placement, int machine, int service, int count) {
+  if (placement.CanPlace(machine, service, count)) {
+    placement.Add(machine, service, count);
+    return count;
   }
-  if (best >= 0) working.Add(best, service);
-  return best;
+  int fit = 0;
+  while (fit < count && placement.CanPlace(machine, service)) {
+    placement.Add(machine, service);
+    ++fit;
+  }
+  return fit;
 }
 
 // Salt mixed into each subproblem's RNG stream id: every stream depends
@@ -111,12 +102,6 @@ struct SolveRecord {
   // assembles the flight-recorder records.
   PoolAttemptStats primary_stats;
   PoolAttemptStats secondary_stats;
-  // POP replica splitting of an oversized subproblem: both rungs use the
-  // same split decision (a pure function of options and subproblem size,
-  // so the merge can replay it deterministically).
-  bool use_pop = false;
-  PopStats primary_pop;
-  PopStats secondary_pop;
 };
 
 // Translates a worker attempt into the ledger's SolveAttempt, using the
@@ -252,15 +237,7 @@ StatusOr<RasaResult> RasaOptimizer::Optimize(const Cluster& cluster,
   Placement hint = partition.base_placement;
   for (const SubproblemCache& cache : state->subproblems) {
     for (const SubproblemSolution::Assignment& a : cache.assignments) {
-      if (hint.CanPlace(a.machine, a.service, a.count)) {
-        hint.Add(a.machine, a.service, a.count);
-      } else {
-        int fit = 0;
-        while (fit < a.count && hint.CanPlace(a.machine, a.service)) {
-          hint.Add(a.machine, a.service);
-          ++fit;
-        }
-      }
+      PlaceUpTo(hint, a.machine, a.service, a.count);
     }
   }
   plan.hint = &hint;
@@ -428,7 +405,6 @@ StatusOr<RasaResult> RasaOptimizer::OptimizeWithPlan(
     rec.primary = selected[idx];
     rec.secondary = rec.primary == PoolAlgorithm::kCg ? PoolAlgorithm::kMip
                                                       : PoolAlgorithm::kCg;
-    rec.use_pop = ShouldUsePop(options_.pop, sp);
     const Deadline sp_deadline =
         ledger.Reserve(sp.internal_affinity, &rec.budget);
 
@@ -437,17 +413,9 @@ StatusOr<RasaResult> RasaOptimizer::OptimizeWithPlan(
     } else if (advisory_breaker_open(rec.primary, position)) {
       rec.primary_attempt.pruned = true;
     } else {
-      rec.primary_attempt.result =
-          rec.use_pop
-              ? RunPoolAlgorithmPop(rec.primary, cluster, sp,
-                                    partition.base_placement, warm_source,
-                                    sp_deadline, primary_seed, options_.pop,
-                                    &rec.primary_stats, mip_hint,
-                                    &rec.primary_pop)
-              : RunPoolAlgorithm(rec.primary, cluster, sp,
-                                 partition.base_placement, warm_source,
-                                 sp_deadline, primary_seed,
-                                 &rec.primary_stats, mip_hint);
+      rec.primary_attempt.result = RunPoolAlgorithm(
+          rec.primary, cluster, sp, partition.base_placement, warm_source,
+          sp_deadline, primary_seed, &rec.primary_stats, mip_hint);
       if (!rec.primary_attempt.result->ok()) {
         mark_failed(rec.primary, position);
       }
@@ -466,17 +434,10 @@ StatusOr<RasaResult> RasaOptimizer::OptimizeWithPlan(
       } else {
         const Deadline secondary_deadline =
             deadline.ClampedToSeconds(std::max(0.02, 0.5 * rec.budget));
-        rec.secondary_attempt.result =
-            rec.use_pop
-                ? RunPoolAlgorithmPop(rec.secondary, cluster, sp,
-                                      partition.base_placement, warm_source,
-                                      secondary_deadline, rec.secondary_seed,
-                                      options_.pop, &rec.secondary_stats,
-                                      mip_hint, &rec.secondary_pop)
-                : RunPoolAlgorithm(rec.secondary, cluster, sp,
-                                   partition.base_placement, warm_source,
-                                   secondary_deadline, rec.secondary_seed,
-                                   &rec.secondary_stats, mip_hint);
+        rec.secondary_attempt.result = RunPoolAlgorithm(
+            rec.secondary, cluster, sp, partition.base_placement, warm_source,
+            secondary_deadline, rec.secondary_seed, &rec.secondary_stats,
+            mip_hint);
         if (!rec.secondary_attempt.result->ok()) {
           mark_failed(rec.secondary, position);
         }
@@ -545,16 +506,7 @@ StatusOr<RasaResult> RasaOptimizer::OptimizeWithPlan(
       std::vector<int> placed(cluster.num_services(), 0);
       std::vector<SubproblemSolution::Assignment> applied;
       for (const SubproblemSolution::Assignment& a : cache.assignments) {
-        int fit = 0;
-        if (working.CanPlace(a.machine, a.service, a.count)) {
-          working.Add(a.machine, a.service, a.count);
-          fit = a.count;
-        } else {
-          while (fit < a.count && working.CanPlace(a.machine, a.service)) {
-            working.Add(a.machine, a.service);
-            ++fit;
-          }
-        }
+        const int fit = PlaceUpTo(working, a.machine, a.service, a.count);
         if (fit > 0) {
           placed[a.service] += fit;
           counts[local_service[a.service]][local_machine[a.machine]] += fit;
@@ -683,7 +635,6 @@ StatusOr<RasaResult> RasaOptimizer::OptimizeWithPlan(
     StatusOr<SubproblemSolution> repair =
         InternalError("secondary not attempted");
     PoolAttemptStats repair_stats;
-    PopStats repair_pop;
     if (solution == nullptr && options_.try_secondary_algorithm &&
         breaker_open(rec.secondary)) {
       lrec.secondary =
@@ -711,20 +662,12 @@ StatusOr<RasaResult> RasaOptimizer::OptimizeWithPlan(
         // and the same budget slice a sequential run would use.
         const Deadline repair_deadline =
             deadline.ClampedToSeconds(std::max(0.02, 0.5 * rec.budget));
-        repair = rec.use_pop
-                     ? RunPoolAlgorithmPop(rec.secondary, cluster, sp,
-                                           partition.base_placement,
-                                           warm_source, repair_deadline,
-                                           rec.secondary_seed, options_.pop,
-                                           &repair_stats, mip_hint,
-                                           &repair_pop)
-                     : RunPoolAlgorithm(rec.secondary, cluster, sp,
-                                        partition.base_placement, warm_source,
-                                        repair_deadline, rec.secondary_seed,
-                                        &repair_stats, mip_hint);
+        repair = RunPoolAlgorithm(rec.secondary, cluster, sp,
+                                  partition.base_placement, warm_source,
+                                  repair_deadline, rec.secondary_seed,
+                                  &repair_stats, mip_hint);
         secondary = &repair;
         secondary_stats = &repair_stats;
-        rec.secondary_pop = repair_pop;
       }
       if (secondary != nullptr) {
         if (secondary->ok()) {
@@ -776,17 +719,7 @@ StatusOr<RasaResult> RasaOptimizer::OptimizeWithPlan(
       // anything that no longer fits.
       std::vector<int> placed(cluster.num_services(), 0);
       for (const SubproblemSolution::Assignment& a : solution->assignments) {
-        int fit = 0;
-        if (working.CanPlace(a.machine, a.service, a.count)) {
-          working.Add(a.machine, a.service, a.count);
-          fit = a.count;
-        } else {
-          // Try placing as many as fit.
-          while (fit < a.count && working.CanPlace(a.machine, a.service)) {
-            working.Add(a.machine, a.service);
-            ++fit;
-          }
-        }
+        const int fit = PlaceUpTo(working, a.machine, a.service, a.count);
         placed[a.service] += fit;
         if (fit > 0) applied.push_back({a.service, a.machine, fit});
       }
@@ -796,20 +729,6 @@ StatusOr<RasaResult> RasaOptimizer::OptimizeWithPlan(
       }
       report.gained_affinity = solution->gained_affinity;
       report.unplaced_containers = solution->unplaced_containers;
-    }
-    if (rec.use_pop && !report.failed) {
-      report.used_pop = true;
-      const PopStats& pop =
-          report.used_secondary ? rec.secondary_pop : rec.primary_pop;
-      report.pop_replicas = pop.replicas;
-      report.pop_cut_affinity = pop.cut_affinity;
-      // POP attempts never surface a CG/MIP bound, so the certificate term
-      // below stays at the trivial internal_affinity bound: the measured
-      // give-up of the split is simply bound - realized.
-      report.pop_quality_loss =
-          std::max(0.0, sp.internal_affinity - report.gained_affinity);
-      ++result.pop_splits;
-      result.pop_quality_loss += report.pop_quality_loss;
     }
     result.subproblems.push_back(report);
 
@@ -825,10 +744,6 @@ StatusOr<RasaResult> RasaOptimizer::OptimizeWithPlan(
     CertificateTerm term = MakeCertificateTerm(
         idx, sp.internal_affinity, report.gained_affinity, sp_unplaced,
         winner);
-    // A POP union is a heuristic over an unseen edge cut — mark its term so
-    // gap consumers can attribute looseness to the split (the bound itself
-    // is already trivial because POP attempts carry no solver bound).
-    if (report.used_pop) term.source = "pop";
     lrec.certificate_bound = term.bound;
     lrec.bound_tightened = term.tightened;
 
@@ -885,8 +800,11 @@ StatusOr<RasaResult> RasaOptimizer::OptimizeWithPlan(
     const TraceSpan fallback_span("fallback");
     for (int s = 0; s < cluster.num_services(); ++s) {
       for (int c = 0; c < unplaced[s]; ++c) {
-        if (FallbackPlaceOne(cluster, working, s) < 0) {
+        const int m = LeastAllocatedMachine(working, s);
+        if (m < 0) {
           ++result.lost_containers;
+        } else {
+          working.Add(m, s);
         }
       }
     }
@@ -952,10 +870,6 @@ StatusOr<RasaResult> RasaOptimizer::OptimizeWithPlan(
     explain.local_search_ran = ls_ran;
     explain.local_search = ls_stats;
     explain.diff = BuildPlacementDiff(cluster, current, working);
-
-    if (SolveLedgerEnabled()) {
-      SolveLedger::Default().AppendAll(explain.records);
-    }
   }
 
   // Dry-run rule (§III-B): execute only on >= min_improvement relative gain.

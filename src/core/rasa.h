@@ -11,7 +11,6 @@
 #include "core/explain.h"
 #include "core/migration.h"
 #include "core/partitioning.h"
-#include "core/pop.h"
 #include "core/selector.h"
 
 namespace rasa {
@@ -52,12 +51,6 @@ struct RasaOptions {
   /// Snapshot-differ thresholds of the incremental path (only read when
   /// OptimizeContext::incremental is set; cold solves never consult them).
   DeltaOptions delta;
-  /// POP replica splitting for oversized subproblems (see core/pop.h).
-  /// Disabled by default (`pop.max_services == 0`) so the paper-scale
-  /// pipeline and its certificates are byte-for-byte unchanged; the
-  /// full-scale bench turns it on to keep scale-factor-1 subproblems
-  /// inside their budget slices.
-  PopOptions pop;
 };
 
 /// Per-subproblem record for reporting and ablation benches.
@@ -72,20 +65,6 @@ struct SubproblemReport {
   bool failed = false;  // fell through the whole ladder to the greedy
   /// Rescued by the other pool algorithm after the selected one failed.
   bool used_secondary = false;
-  /// Solved via a POP replica split (RasaOptions::pop triggered on this
-  /// subproblem). The matching certificate term stays at the trivial bound
-  /// with source "pop".
-  bool used_pop = false;
-  /// Replicas of the POP split (0 when used_pop is false).
-  int pop_replicas = 0;
-  /// Affinity-edge weight crossing replica boundaries: what the replica
-  /// solvers could not see.
-  double pop_cut_affinity = 0.0;
-  /// Certificate-term bound minus realized affinity when POP was used: the
-  /// measured quality give-up of the split against the optimality-gap
-  /// certificate (the term is never tightened, so the bound is the trivial
-  /// internal_affinity).
-  double pop_quality_loss = 0.0;
 };
 
 struct RasaResult {
@@ -110,9 +89,6 @@ struct RasaResult {
   int secondary_successes = 0;  // rescued by the other pool algorithm
   int greedy_fallbacks = 0;     // bottom of the ladder
   int breaker_skips = 0;        // attempts skipped by an open breaker
-  int pop_splits = 0;           // subproblems solved via POP replica split
-  /// Sum of pop_quality_loss over POP-solved subproblems.
-  double pop_quality_loss = 0.0;
 
   // Incremental-path accounting (populated only when the call carried an
   // OptimizeContext::incremental state; cold solves leave the defaults: a

@@ -21,24 +21,6 @@ std::string PrevCheckpointPath(const std::string& dir) {
 }
 std::string JournalPath(const std::string& dir) { return dir + "/journal.wal"; }
 
-// Re-binds `src` counts onto a placement over `cluster` (sources are often
-// bound to a different Cluster copy of the same shape).
-Placement CopyCounts(const Cluster& cluster, const Placement& src) {
-  Placement out(cluster);
-  const int machines = std::min(cluster.num_machines(),
-                                src.cluster()->num_machines());
-  for (int m = 0; m < machines; ++m) {
-    for (const auto& [s, count] : src.ServicesOn(m)) {
-      if (s < cluster.num_services()) out.Add(m, s, count);
-    }
-  }
-  return out;
-}
-
-int SymmetricDiff(const Placement& a, const Placement& b) {
-  return a.DiffCount(b) + b.DiffCount(a);
-}
-
 // Applies one migration command; false when the live state cannot take it
 // (missing container for a delete, infeasible machine for a create).
 bool ApplyCommand(Placement& placement, const MigrationCommand& cmd) {
@@ -591,7 +573,7 @@ std::vector<CommandClassification> ClassifyInFlightCommands(
     bool journal_torn_tail) {
   std::vector<CommandClassification> out;
   if (cj.decision != CycleJournal::Decision::kExecute) return out;
-  Placement expected = CopyCounts(cluster, cycle_start);
+  Placement expected = cycle_start.Rebind(cluster);
   const int num_batches = NumBatches(cj);
   bool past_frontier = false;
   for (int b = 0; b < num_batches; ++b) {
@@ -611,11 +593,11 @@ std::vector<CommandClassification> ClassifyInFlightCommands(
       // this batch's fate may have been lost, so an unexplainable state is
       // classified kTorn rather than guessed.
       int prefix = -1;
-      Placement probe = CopyCounts(cluster, expected);
-      if (SymmetricDiff(probe, observed) == 0) prefix = 0;
+      Placement probe = expected.Rebind(cluster);
+      if (probe.SymmetricDiff(observed) == 0) prefix = 0;
       for (int j = 1; j <= static_cast<int>(commands.size()); ++j) {
         if (!ApplyCommand(probe, commands[j - 1])) break;
-        if (SymmetricDiff(probe, observed) == 0) prefix = j;
+        if (probe.SymmetricDiff(observed) == 0) prefix = j;
       }
       for (int j = 0; j < static_cast<int>(commands.size()); ++j) {
         CommandFate fate;
@@ -649,7 +631,7 @@ StatusOr<RollForwardResult> RollForwardExecution(
   }
   RollForwardResult result;
   const Placement target = TargetFromPlan(cluster, cj.plan);
-  Placement expected = CopyCounts(cluster, cycle_start);
+  Placement expected = cycle_start.Rebind(cluster);
   const int num_batches = NumBatches(cj);
   bool abandon = false;
   bool past_frontier = false;
@@ -674,11 +656,11 @@ StatusOr<RollForwardResult> RollForwardExecution(
       past_frontier = true;
       // Find the applied prefix of the in-flight batch.
       int prefix = -1;
-      Placement probe = CopyCounts(cluster, expected);
-      if (SymmetricDiff(probe, observed) == 0) prefix = 0;
+      Placement probe = expected.Rebind(cluster);
+      if (probe.SymmetricDiff(observed) == 0) prefix = 0;
       for (int j = 1; j <= static_cast<int>(commands.size()); ++j) {
         if (!ApplyCommand(probe, commands[j - 1])) break;
-        if (SymmetricDiff(probe, observed) == 0) prefix = j;
+        if (probe.SymmetricDiff(observed) == 0) prefix = j;
       }
       if (prefix < 0) {
         abandon = true;  // observed world matches no journaled prefix
@@ -726,7 +708,7 @@ StatusOr<RollForwardResult> RollForwardExecution(
     }
   }
 
-  if (abandon || SymmetricDiff(observed, target) != 0) {
+  if (abandon || observed.SymmetricDiff(target) != 0) {
     // The journaled path cannot be replayed against this world (chaos
     // interference, lost replan records). Reconcile straight to the
     // journaled target instead — the intent is durable even when the path
@@ -737,7 +719,7 @@ StatusOr<RollForwardResult> RollForwardExecution(
     AuditState(cluster, observed, min_alive_fraction, result.sla_violations,
                result.feasibility_violations);
   }
-  result.reached_target = SymmetricDiff(observed, target) == 0;
+  result.reached_target = observed.SymmetricDiff(target) == 0;
 
   if (journal != nullptr && !cj.exec_done) {
     JournalRecord done;
@@ -758,13 +740,13 @@ int RollForwardDrift(const Cluster& cluster,
                      const std::vector<DriftMove>& moves,
                      const Placement& pre_drift, Placement& observed) {
   int prefix = -1;
-  Placement probe = CopyCounts(cluster, pre_drift);
-  if (SymmetricDiff(probe, observed) == 0) prefix = 0;
+  Placement probe = pre_drift.Rebind(cluster);
+  if (probe.SymmetricDiff(observed) == 0) prefix = 0;
   for (int j = 1; j <= static_cast<int>(moves.size()); ++j) {
     const DriftMove& m = moves[j - 1];
     if (!probe.Remove(m.from, m.service).ok()) break;
     probe.Add(m.to, m.service);
-    if (SymmetricDiff(probe, observed) == 0) prefix = j;
+    if (probe.SymmetricDiff(observed) == 0) prefix = j;
   }
   if (prefix < 0) return -1;
   int applied = 0;
@@ -784,7 +766,7 @@ StatusOr<Placement> ReconstructObservedPlacement(
     return InternalError("checkpoint has no cluster snapshot");
   }
   const Cluster& cluster = *snapshot.cluster;
-  Placement world = CopyCounts(cluster, snapshot.original_placement);
+  Placement world = snapshot.original_placement.Rebind(cluster);
   // Committed work is durably acknowledged; anything in flight is treated
   // as not-applied (the resume's roll-forward re-derives it). Drift intents
   // are likewise left to the roll-forward.

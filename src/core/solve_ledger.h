@@ -1,9 +1,6 @@
 #ifndef RASA_CORE_SOLVE_LEDGER_H_
 #define RASA_CORE_SOLVE_LEDGER_H_
 
-#include <mutex>
-#include <vector>
-
 #include "core/algorithm_pool.h"
 #include "core/selector.h"
 
@@ -81,48 +78,6 @@ struct LedgerRecord {
   double certificate_bound = 0.0;
   bool bound_tightened = false;
 };
-
-/// Process-wide, thread-safe flight recorder for per-subproblem solves.
-/// Appending is cheap (one mutex, records are moved in); readers snapshot.
-/// Strictly observation-only: with the ledger disabled the optimizer's
-/// placements and reports are bit-identical (enforced by
-/// explain_determinism_test).
-///
-/// A fixed-capacity ring: it keeps the newest kCapacity records (about 15
-/// cycles of a Table II M1 control loop), so a long-running loop holds
-/// bounded memory. Every run's own records also travel in
-/// RasaResult::report.records, and the `ledger.records` counter counts
-/// every append, including overwritten ones.
-class SolveLedger {
- public:
-  static constexpr size_t kCapacity = 256;
-
-  static SolveLedger& Default();
-
-  void Append(LedgerRecord record);
-  void AppendAll(const std::vector<LedgerRecord>& records);
-
-  /// Snapshot of the retained records, oldest first (copy; safe to hold).
-  std::vector<LedgerRecord> Records() const;
-  /// Retained records: min(appends since Reset, kCapacity).
-  size_t size() const;
-  void Reset();
-
- private:
-  void AppendLocked(LedgerRecord record);
-
-  mutable std::mutex mu_;
-  std::vector<LedgerRecord> records_;
-  // Once records_ is full: the slot holding the oldest record, which the
-  // next append overwrites.
-  size_t oldest_ = 0;
-};
-
-/// Global enable switch (default on). Disabling stops the optimizer from
-/// appending to SolveLedger::Default(); RasaResult::report is populated
-/// either way — it is part of the result, not the recorder.
-void SetSolveLedgerEnabled(bool enabled);
-bool SolveLedgerEnabled();
 
 }  // namespace rasa
 

@@ -23,53 +23,15 @@
 namespace rasa {
 namespace {
 
-// Re-associates the counts of `placement` with `cluster` (same shape,
-// possibly different affinity weights).
-Placement RebindPlacement(const Cluster& cluster, const Placement& placement) {
-  Placement out(cluster);
-  for (int m = 0; m < cluster.num_machines(); ++m) {
-    for (const auto& [s, count] : placement.ServicesOn(m)) {
-      out.Add(m, s, count);
-    }
-  }
-  return out;
-}
-
 // Randomly relocates ~fraction of all containers to other feasible machines
-// (application updates / user modifications between cycles).
-void DriftPlacement(const Cluster& cluster, Placement& placement,
-                    double fraction, Rng& rng) {
-  const int moves =
-      static_cast<int>(fraction * cluster.num_containers());
-  for (int i = 0; i < moves; ++i) {
-    const int s = static_cast<int>(rng.NextUint64(cluster.num_services()));
-    const auto& machines = placement.MachinesOf(s);
-    if (machines.empty()) continue;
-    // Pick a random hosting machine of s.
-    const int pick = static_cast<int>(rng.NextUint64(machines.size()));
-    auto it = machines.begin();
-    std::advance(it, pick);
-    const int from = it->first;
-    // Pick a random feasible destination.
-    std::vector<int> feasible;
-    for (int m = 0; m < cluster.num_machines(); ++m) {
-      if (m != from && placement.CanPlace(m, s)) feasible.push_back(m);
-    }
-    if (feasible.empty()) continue;
-    const int to = feasible[rng.NextUint64(feasible.size())];
-    RASA_CHECK(placement.Remove(from, s).ok());
-    placement.Add(to, s);
-  }
-}
-
-// Same relocation policy as DriftPlacement — the identical draw sequence —
-// but computed on a scratch copy and returned as an explicit move list, so
-// the intent can be journaled before any move touches the live placement
-// (crash mid-drift is then recoverable move-by-move).
+// (application updates / user modifications between cycles). Computed on a
+// scratch copy and returned as an explicit move list, so the intent can be
+// journaled before any move touches the live placement (crash mid-drift is
+// then recoverable move-by-move).
 std::vector<DriftMove> ComputeDriftMoves(const Cluster& cluster,
                                          const Placement& current,
                                          double fraction, Rng& rng) {
-  Placement scratch = RebindPlacement(cluster, current);
+  Placement scratch = current.Rebind(cluster);
   std::vector<DriftMove> out;
   const int moves =
       static_cast<int>(fraction * cluster.num_containers());
@@ -211,7 +173,7 @@ Status WorkflowRunner::WriteCheckpoint(int next_cycle) {
   c.snapshot.name = StrFormat("workflow-cycle-%d", next_cycle);
   c.snapshot.cluster = checkpoint_cluster_;
   c.snapshot.original_placement =
-      RebindPlacement(*checkpoint_cluster_, live_);
+      live_.Rebind(*checkpoint_cluster_);
   return SaveWorkflowCheckpoint(options_.state_dir, c);
 }
 
@@ -265,7 +227,7 @@ Status WorkflowRunner::InitResume() {
   report_.recovery.used_previous_checkpoint =
       analysis_.used_previous_checkpoint;
   report_.recovery.journal_torn_tail = analysis_.journal_torn_tail;
-  expected_start_ = RebindPlacement(cluster_, c.snapshot.original_placement);
+  expected_start_ = c.snapshot.original_placement.Rebind(cluster_);
   StatusOr<WorkflowJournal> journal = WorkflowJournal::Open(options_.state_dir);
   if (!journal.ok()) return journal.status();
   journal_ = std::make_unique<WorkflowJournal>(std::move(journal).value());
@@ -408,7 +370,7 @@ Status WorkflowRunner::RunCycleNormal(int cycle) {
     state.measured_cluster = std::make_shared<Cluster>(
         cluster_.resource_names(), cluster_.services(), cluster_.machines(),
         std::move(muted), cluster_.anti_affinity());
-    state.placement = RebindPlacement(*state.measured_cluster, live_);
+    state.placement = live_.Rebind(*state.measured_cluster);
   }
 
   // 2) The RASA algorithm on the collected state. A failed optimizer run
@@ -482,7 +444,7 @@ Status WorkflowRunner::RunCycleNormal(int cycle) {
                         << valid.ToString();
       dry_reason = DryReason::kInvalidPlan;
     } else {
-      Placement candidate = RebindPlacement(cluster_, result.new_placement);
+      Placement candidate = result.new_placement.Rebind(cluster_);
       if (MaxMachineUtilization(cluster_, candidate) >
           options_.rollback_utilization_threshold) {
         // Rollback: revert, tag the moved services unschedulable.
@@ -517,8 +479,12 @@ Status WorkflowRunner::RunCycleNormal(int cycle) {
         // the plan is stale and the executor must re-plan mid-flight.
         if (options_.inject_faults &&
             options_.faults.stale_snapshot_drift > 0.0) {
-          DriftPlacement(cluster_, live_, options_.faults.stale_snapshot_drift,
-                         rng_);
+          for (const DriftMove& mv :
+               ComputeDriftMoves(cluster_, live_,
+                                 options_.faults.stale_snapshot_drift, rng_)) {
+            RASA_CHECK(live_.Remove(mv.from, mv.service).ok());
+            live_.Add(mv.to, mv.service);
+          }
         }
         MigrationExecutorOptions exec_options;
         exec_options.retry = options_.command_retry;
@@ -747,7 +713,7 @@ Status WorkflowRunner::CompleteCycleFromJournal(int cycle,
 }
 
 StatusOr<WorkflowReport> WorkflowRunner::Run() {
-  live_ = RebindPlacement(cluster_, initial_);
+  live_ = initial_.Rebind(cluster_);
   // One worker pool shared by every cycle's optimizer run: spawning threads
   // once instead of per cycle keeps the per-cycle overhead at zero.
   const int solver_threads = options_.rasa.num_threads == 0
@@ -828,7 +794,7 @@ CollectedState CollectClusterState(const Cluster& cluster,
                                 cluster.machines(), std::move(measured),
                                 cluster.anti_affinity()),
       Placement()};
-  state.placement = RebindPlacement(*state.measured_cluster, live);
+  state.placement = live.Rebind(*state.measured_cluster);
   return state;
 }
 

@@ -212,6 +212,59 @@ TEST(PlacementTest, DiffCountCountsMoves) {
   EXPECT_EQ(p.DiffCount(p), 0);
 }
 
+TEST(PlacementTest, SymmetricDiffSeesStrictSubsets) {
+  Cluster c = TinyCluster();
+  Placement full(c), partial(c);
+  full.Add(0, 0, 2);
+  partial.Add(0, 0, 1);
+  EXPECT_EQ(partial.DiffCount(full), 0);  // one-sided: reads as equal
+  EXPECT_EQ(partial.SymmetricDiff(full), 1);
+  EXPECT_EQ(full.SymmetricDiff(partial), 1);
+  EXPECT_EQ(full.SymmetricDiff(full), 0);
+}
+
+TEST(PlacementTest, RebindKeepsCountsOnTheNewCluster) {
+  Cluster c = TinyCluster();
+  Cluster copy = TinyCluster();
+  Placement p(c);
+  p.Add(0, 0, 2);
+  p.Add(1, 1, 1);
+  const Placement q = p.Rebind(copy);
+  EXPECT_EQ(q.cluster(), &copy);
+  EXPECT_EQ(q.SymmetricDiff(p), 0);
+  EXPECT_DOUBLE_EQ(q.UsedResource(0, 1), p.UsedResource(0, 1));
+}
+
+TEST(PlacementTest, MinFreeFractionIsTheFullestResource) {
+  Cluster c = TinyCluster();
+  Placement p(c);
+  EXPECT_DOUBLE_EQ(p.MinFreeFraction(0), 1.0);
+  p.Add(0, 1);  // b requests {2, 1} of {8, 12}
+  EXPECT_DOUBLE_EQ(p.MinFreeFraction(0), 0.75);
+}
+
+TEST(PlacementTest, LeastAllocatedMachineBreaksTiesByLowestId) {
+  Cluster c = TinyCluster();
+  Placement p(c);
+  // m0 and m1 are empty twins; m2 is on the other platform.
+  EXPECT_EQ(LeastAllocatedMachine(p, 0), 0);
+  p.Add(0, 1);
+  EXPECT_EQ(LeastAllocatedMachine(p, 0), 1);
+  p.Add(1, 1);
+  EXPECT_EQ(LeastAllocatedMachine(p, 0), 0);  // tied again
+  EXPECT_EQ(LeastAllocatedMachine(p, 0, [](int m) { return m != 0; }), 1);
+}
+
+TEST(PlacementTest, LeastAllocatedMachineReturnsMinusOneWhenNothingFits) {
+  Cluster c = TinyCluster();
+  Placement p(c);
+  EXPECT_EQ(LeastAllocatedMachine(p, 0, [](int) { return false; }), -1);
+  p.Add(0, 0, 2);  // the anti-affinity rule allows 2 of a per machine
+  p.Add(1, 0, 2);
+  EXPECT_EQ(LeastAllocatedMachine(p, 0), -1);
+  EXPECT_EQ(LeastAllocatedMachine(p, 2), 2);  // c still fits on m2
+}
+
 // ------------------------------------------------------------- FirstFit ---
 
 TEST(FirstFitTest, ProducesFullyFeasiblePlacement) {
