@@ -99,15 +99,7 @@ void CgSolver::BuildContexts() {
   local_of_.assign(cluster_.num_services(), -1);
   for (int i = 0; i < S(); ++i) local_of_[sp_.services[i]] = i;
 
-  std::vector<bool> seen(cluster_.anti_affinity().size(), false);
-  for (int s : sp_.services) {
-    for (int k : cluster_.RulesOfService(s)) {
-      if (!seen[k]) {
-        seen[k] = true;
-        active_rules_.push_back(k);
-      }
-    }
-  }
+  active_rules_ = ActiveRules(cluster_, sp_);
 
   local_adj_.assign(S(), {});
   for (const AffinityEdge& e : sp_.edges) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <unordered_map>
 
 #include "common/logging.h"
 #include "common/metrics.h"
@@ -61,7 +60,25 @@ void RecordMipMetrics(const MipResult& result) {
   node_pivots.Observe(static_cast<double>(result.max_node_pivots));
 }
 
+// Rows of the per-machine model: SLA, resource, anti-affinity and two
+// linearization rows per (edge, machine). Counted before building, so rows
+// that would come out empty still count.
+long long ModelRows(const Cluster& cluster, const Subproblem& subproblem,
+                    size_t num_rules) {
+  const long long S = static_cast<long long>(subproblem.services.size());
+  const long long M = static_cast<long long>(subproblem.machines.size());
+  const long long E = static_cast<long long>(subproblem.edges.size());
+  return S + cluster.num_resources() * M +
+         static_cast<long long>(num_rules) * M + 2 * E * M;
+}
+
 }  // namespace
+
+bool MipModelFits(const Cluster& cluster, const Subproblem& subproblem,
+                  int max_model_rows) {
+  return ModelRows(cluster, subproblem,
+                   ActiveRules(cluster, subproblem).size()) <= max_model_rows;
+}
 
 StatusOr<SubproblemMip> BuildSubproblemMip(const Cluster& cluster,
                                            const Subproblem& subproblem,
@@ -72,25 +89,8 @@ StatusOr<SubproblemMip> BuildSubproblemMip(const Cluster& cluster,
   const int E = static_cast<int>(subproblem.edges.size());
   const int R = cluster.num_resources();
 
-  // Count anti-affinity rows: rules intersecting the subproblem, per machine.
-  std::vector<int> active_rules;
-  {
-    std::unordered_map<int, int> member;
-    for (int i = 0; i < S; ++i) member[subproblem.services[i]] = i;
-    std::vector<bool> seen(cluster.anti_affinity().size(), false);
-    for (int s : subproblem.services) {
-      for (int k : cluster.RulesOfService(s)) {
-        if (!seen[k]) {
-          seen[k] = true;
-          active_rules.push_back(k);
-        }
-      }
-    }
-  }
-
-  const long long rows = static_cast<long long>(S) + 1LL * R * M +
-                         1LL * static_cast<long long>(active_rules.size()) * M +
-                         2LL * E * M;
+  const std::vector<int> active_rules = ActiveRules(cluster, subproblem);
+  const long long rows = ModelRows(cluster, subproblem, active_rules.size());
   if (rows > max_model_rows) {
     return ResourceExhaustedError(StrFormat(
         "subproblem MIP needs %lld rows > cap %d (S=%d M=%d E=%d)", rows,
@@ -208,18 +208,7 @@ StatusOr<SubproblemSolution> SolveSubproblemMipGrouped(
 
   std::vector<int> local_of(cluster.num_services(), -1);
   for (int i = 0; i < S; ++i) local_of[subproblem.services[i]] = i;
-  std::vector<int> active_rules;
-  {
-    std::vector<bool> seen(cluster.anti_affinity().size(), false);
-    for (int s : subproblem.services) {
-      for (int k : cluster.RulesOfService(s)) {
-        if (!seen[k]) {
-          seen[k] = true;
-          active_rules.push_back(k);
-        }
-      }
-    }
-  }
+  const std::vector<int> active_rules = ActiveRules(cluster, subproblem);
 
   const int E = static_cast<int>(subproblem.edges.size());
   const long long rows = static_cast<long long>(S) + 1LL * R * G +

@@ -71,10 +71,17 @@ struct SubproblemMip {
   LpModel model;
   std::vector<std::vector<int>> x_index;  // [service_local][machine_local]
 };
+/// Fails with kResourceExhausted exactly when MipModelFits is false.
 StatusOr<SubproblemMip> BuildSubproblemMip(const Cluster& cluster,
                                            const Subproblem& subproblem,
                                            const Placement& base,
                                            int max_model_rows);
+
+/// True iff BuildSubproblemMip accepts `subproblem` under `max_model_rows`.
+/// The row count depends on the subproblem's shape alone, so this needs no
+/// placement and no solve.
+bool MipModelFits(const Cluster& cluster, const Subproblem& subproblem,
+                  int max_model_rows = MipAlgorithmOptions().max_model_rows);
 
 /// The MIP-based pool algorithm (§IV-C1): greedy warm start, then LP-based
 /// branch-and-bound until optimal or deadline. `base` holds the trivial

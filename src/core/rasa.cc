@@ -1,7 +1,6 @@
 #include "core/rasa.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <memory>
 #include <mutex>
@@ -16,6 +15,7 @@
 #include "common/timer.h"
 #include "core/greedy.h"
 #include "core/local_search.h"
+#include "core/mip_algorithm.h"
 #include "core/objective.h"
 
 namespace rasa {
@@ -78,50 +78,49 @@ class DeadlineLedger {
   int remaining_count_;
 };
 
-// One rung of a speculative subproblem solve.
-struct AttemptRecord {
-  bool expired = false;  // global budget was gone before the attempt
-  bool pruned = false;   // skipped on the advisory breaker fast path
-  std::optional<StatusOr<SubproblemSolution>> result;  // set iff a solver ran
-};
+// The circuit breaker opens once this many MIP-selected subproblems, in
+// canonical order, have a model over MIP's row cap.
+constexpr int kCircuitBreakerFailures = 3;
 
-// Everything a worker learned about one subproblem, merged later in
-// canonical order. Workers never touch the placement, the report, or the
-// ladder counters — those belong to the merge.
+// A worker's whole ladder for one subproblem, folded into the result in
+// canonical order: the ledger record with its ladder fields filled, and the
+// winning rung's solution (none when the ladder fell through to the greedy).
 struct SolveRecord {
-  PoolAlgorithm primary = PoolAlgorithm::kCg;
-  PoolAlgorithm secondary = PoolAlgorithm::kMip;
-  uint64_t secondary_seed = 0;
-  double budget = 0.0;   // primary budget share, seconds
-  double seconds = 0.0;  // wall-clock of the speculative solve
-  AttemptRecord primary_attempt;
-  AttemptRecord secondary_attempt;
-  bool secondary_considered = false;  // worker reached the secondary rung
-  // Solver introspection of each speculative attempt, captured
-  // unconditionally (cheap out-params) and consumed by the merge when it
-  // assembles the flight-recorder records.
-  PoolAttemptStats primary_stats;
-  PoolAttemptStats secondary_stats;
+  LedgerRecord ledger;
+  std::optional<SubproblemSolution> solution;
 };
 
-// Translates a worker attempt into the ledger's SolveAttempt, using the
-// *replayed* ladder decision (`replay_outcome`) so records are independent
-// of worker scheduling. Stats are attached only when the attempt's result
-// is the one the replay acted on.
-SolveAttempt MakeAttempt(PoolAlgorithm algorithm, AttemptOutcome outcome,
-                         const PoolAttemptStats* stats) {
-  SolveAttempt attempt;
-  attempt.algorithm = algorithm;
-  attempt.outcome = outcome;
-  if (stats != nullptr &&
-      (outcome == AttemptOutcome::kOk || outcome == AttemptOutcome::kFailed)) {
-    attempt.seconds = stats->seconds;
-    attempt.has_cg = stats->has_cg;
-    attempt.cg = stats->cg;
-    attempt.has_mip = stats->has_mip;
-    attempt.mip = stats->mip;
+// Applies each assignment to `working` as far as it still fits and returns
+// what landed.
+std::vector<SubproblemSolution::Assignment> ApplyAssignments(
+    Placement& working,
+    const std::vector<SubproblemSolution::Assignment>& assignments) {
+  std::vector<SubproblemSolution::Assignment> applied;
+  for (const SubproblemSolution::Assignment& a : assignments) {
+    const int fit = PlaceUpTo(working, a.machine, a.service, a.count);
+    if (fit > 0) applied.push_back({a.service, a.machine, fit});
   }
-  return attempt;
+  return applied;
+}
+
+// Gained affinity of `assignments` over the subproblem's internal edges.
+double RealizedAffinity(
+    const Cluster& cluster, const Subproblem& sp,
+    const std::vector<SubproblemSolution::Assignment>& assignments) {
+  std::vector<int> local_service(cluster.num_services(), -1);
+  for (size_t i = 0; i < sp.services.size(); ++i) {
+    local_service[sp.services[i]] = static_cast<int>(i);
+  }
+  std::vector<int> local_machine(cluster.num_machines(), -1);
+  for (size_t j = 0; j < sp.machines.size(); ++j) {
+    local_machine[sp.machines[j]] = static_cast<int>(j);
+  }
+  std::vector<std::vector<int>> counts(
+      sp.services.size(), std::vector<int>(sp.machines.size(), 0));
+  for (const SubproblemSolution::Assignment& a : assignments) {
+    counts[local_service[a.service]][local_machine[a.machine]] += a.count;
+  }
+  return SubproblemGainedAffinity(cluster, sp, counts);
 }
 
 // One subproblem's certificate term: min(internal, proven solver bound),
@@ -157,6 +156,33 @@ CertificateTerm MakeCertificateTerm(int subproblem_idx,
   if (candidate < internal_affinity) {
     term.bound = candidate;
     term.tightened = true;
+  }
+  return term;
+}
+
+// A reused subproblem's term from its cached bound, kept only while that
+// bound is still sound for this snapshot: the original tightening held,
+// every cached container fits again, no machine regained capacity since the
+// solve, and the weight ratio inflates away any tolerated edge growth (see
+// DESIGN.md "Incremental re-optimization").
+CertificateTerm ReusedCertificateTerm(int subproblem_idx,
+                                      double internal_affinity,
+                                      double realized, int merge_unplaced,
+                                      const SubproblemCache& cache,
+                                      bool residual_increased,
+                                      double weight_ratio) {
+  CertificateTerm term;
+  term.subproblem = subproblem_idx;
+  term.internal_affinity = internal_affinity;
+  term.realized = realized;
+  term.bound = internal_affinity;
+  if (cache.tightened && merge_unplaced == 0 && !residual_increased) {
+    const double candidate = std::max(weight_ratio * cache.bound, realized);
+    if (candidate < internal_affinity) {
+      term.bound = candidate;
+      term.tightened = true;
+      term.source = cache.bound_source;
+    }
   }
   return term;
 }
@@ -274,7 +300,7 @@ StatusOr<RasaResult> RasaOptimizer::OptimizeWithPlan(
 
   // Canonical solve order: highest internal affinity first so the deadline
   // starves only the tail, with an explicit index tie-break so the order —
-  // and therefore the merge below — is unambiguous.
+  // and therefore the fold below — is unambiguous.
   std::vector<int> order(num_subproblems);
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), [&](int a, int b) {
@@ -346,43 +372,66 @@ StatusOr<RasaResult> RasaOptimizer::OptimizeWithPlan(
   const Placement& warm_source = plan != nullptr ? *plan->hint : current;
   const Placement* mip_hint = plan != nullptr ? plan->hint : nullptr;
 
-  // Phase 2b: speculative per-subproblem solves, fanned out across the
-  // pool. Shared state is confined to the deadline ledger and the advisory
-  // failure flags; everything else is per-record.
-  DeadlineLedger ledger(deadline, total_affinity, num_subproblems);
-  std::vector<SolveRecord> records(num_subproblems);
-
-  // failure_flags[a * n + p] == 1 iff the attempt of algorithm `a` at
-  // canonical position `p` ran and failed. The advisory breaker counts only
-  // positions *before* the asking one, so a flag it acts on is a failure
-  // the canonical replay is guaranteed to have seen too — pruning can skip
-  // wasted solver work but can never change the merged outcome.
-  std::vector<std::atomic<uint8_t>> failure_flags(
-      static_cast<size_t>(2 * std::max(1, num_subproblems)));
-  for (std::atomic<uint8_t>& flag : failure_flags) {
-    flag.store(0, std::memory_order_relaxed);
-  }
-  auto advisory_breaker_open = [&](PoolAlgorithm algorithm, int position) {
-    if (options_.circuit_breaker_failures <= 0) return false;
-    const int a = static_cast<int>(algorithm);
-    int failures = 0;
-    for (int p = 0; p < position; ++p) {
-      failures += failure_flags[static_cast<size_t>(a * num_subproblems + p)]
-                      .load(std::memory_order_acquire);
+  // Circuit breaker, decided before the fan-out from the canonical order
+  // and the labels alone: once kCircuitBreakerFailures MIP-selected
+  // subproblems have a model over the row cap, every later MIP rung is
+  // skipped (DESIGN.md "Degradation ladder").
+  int breaker_position = num_subproblems;
+  for (int position = 0, misses = 0; position < num_subproblems; ++position) {
+    const int idx = order[position];
+    if ((plan != nullptr && plan->reuse[idx]) ||
+        selected[idx] != PoolAlgorithm::kMip) {
+      continue;
     }
-    return failures >= options_.circuit_breaker_failures;
-  };
-  auto mark_failed = [&](PoolAlgorithm algorithm, int position) {
-    const int a = static_cast<int>(algorithm);
-    failure_flags[static_cast<size_t>(a * num_subproblems + position)].store(
-        1, std::memory_order_release);
-  };
+    if (!MipModelFits(cluster, partition.subproblems[idx]) &&
+        ++misses == kCircuitBreakerFailures) {
+      breaker_position = position + 1;
+      break;
+    }
+  }
+
+  // Phase 2b: per-subproblem solves fanned out across the pool. Each worker
+  // runs its subproblem's whole ladder and writes only its own record; the
+  // deadline ledger is the one shared state.
+  DeadlineLedger ledger(deadline, total_affinity, active_subproblems);
+  std::vector<SolveRecord> records(num_subproblems);
 
   // The solve phase is opened/closed by hand (no scope to hang the RAII
   // span on); its id is the explicit parent of every per-subproblem span,
   // because workers run on pool threads whose thread-local span stacks are
   // empty.
   const int64_t solve_parent = Tracer::Default().Begin("solve");
+
+  // One ladder rung into `attempt`: kExpired when the global budget is
+  // gone, else kPruned when the breaker skips it, else the solver's
+  // outcome. Returns the solution iff the rung succeeded.
+  auto run_rung = [&](const Subproblem& sp, int position,
+                      PoolAlgorithm algorithm, const Deadline& rung_deadline,
+                      uint64_t seed, SolveAttempt& attempt) {
+    std::optional<SubproblemSolution> solution;
+    attempt.algorithm = algorithm;
+    if (deadline.Expired()) {
+      attempt.outcome = AttemptOutcome::kExpired;
+      return solution;
+    }
+    if (algorithm == PoolAlgorithm::kMip && position >= breaker_position) {
+      attempt.outcome = AttemptOutcome::kPruned;
+      return solution;
+    }
+    PoolAttemptStats stats;
+    StatusOr<SubproblemSolution> result =
+        RunPoolAlgorithm(algorithm, cluster, sp, partition.base_placement,
+                         warm_source, rung_deadline, seed, &stats, mip_hint);
+    attempt.outcome =
+        result.ok() ? AttemptOutcome::kOk : AttemptOutcome::kFailed;
+    attempt.seconds = stats.seconds;
+    attempt.has_cg = stats.has_cg;
+    attempt.cg = stats.cg;
+    attempt.has_mip = stats.has_mip;
+    attempt.mip = stats.mip;
+    if (result.ok()) solution = std::move(result).value();
+    return solution;
+  };
 
   auto solve_one = [&](int position) {
     const int idx = order[position];
@@ -392,6 +441,7 @@ StatusOr<RasaResult> RasaOptimizer::OptimizeWithPlan(
     if (plan != nullptr && plan->reuse[idx]) return;
     const Subproblem& sp = partition.subproblems[idx];
     SolveRecord& rec = records[position];
+    LedgerRecord& lrec = rec.ledger;
     TraceSpan sp_span(StrFormat("subproblem_%d", idx), solve_parent);
     Stopwatch sp_timer;
 
@@ -400,50 +450,25 @@ StatusOr<RasaResult> RasaOptimizer::OptimizeWithPlan(
     Rng sp_rng(options_.seed ^
                (kStreamSalt * (static_cast<uint64_t>(idx) + 1)));
     const uint64_t primary_seed = sp_rng.Next();
-    rec.secondary_seed = sp_rng.Next();
+    const uint64_t secondary_seed = sp_rng.Next();
 
-    rec.primary = selected[idx];
-    rec.secondary = rec.primary == PoolAlgorithm::kCg ? PoolAlgorithm::kMip
-                                                      : PoolAlgorithm::kCg;
+    lrec.selected = selected[idx];
+    const PoolAlgorithm secondary = lrec.selected == PoolAlgorithm::kCg
+                                        ? PoolAlgorithm::kMip
+                                        : PoolAlgorithm::kCg;
     const Deadline sp_deadline =
-        ledger.Reserve(sp.internal_affinity, &rec.budget);
-
-    if (deadline.Expired()) {
-      rec.primary_attempt.expired = true;
-    } else if (advisory_breaker_open(rec.primary, position)) {
-      rec.primary_attempt.pruned = true;
-    } else {
-      rec.primary_attempt.result = RunPoolAlgorithm(
-          rec.primary, cluster, sp, partition.base_placement, warm_source,
-          sp_deadline, primary_seed, &rec.primary_stats, mip_hint);
-      if (!rec.primary_attempt.result->ok()) {
-        mark_failed(rec.primary, position);
-      }
+        ledger.Reserve(sp.internal_affinity, &lrec.budget_seconds);
+    rec.solution = run_rung(sp, position, lrec.selected, sp_deadline,
+                            primary_seed, lrec.primary);
+    if (!rec.solution) {
+      // Rung 2: the other pool algorithm on half the primary's share.
+      rec.solution = run_rung(
+          sp, position, secondary,
+          deadline.ClampedToSeconds(std::max(0.02, 0.5 * lrec.budget_seconds)),
+          secondary_seed, lrec.secondary);
+      lrec.used_secondary = rec.solution.has_value();
     }
-
-    const bool primary_ok =
-        rec.primary_attempt.result && rec.primary_attempt.result->ok();
-    if (!primary_ok && options_.try_secondary_algorithm) {
-      // Rung 2 of the ladder, speculatively: the other pool algorithm on a
-      // fresh slice of whatever global budget remains.
-      rec.secondary_considered = true;
-      if (deadline.Expired()) {
-        rec.secondary_attempt.expired = true;
-      } else if (advisory_breaker_open(rec.secondary, position)) {
-        rec.secondary_attempt.pruned = true;
-      } else {
-        const Deadline secondary_deadline =
-            deadline.ClampedToSeconds(std::max(0.02, 0.5 * rec.budget));
-        rec.secondary_attempt.result = RunPoolAlgorithm(
-            rec.secondary, cluster, sp, partition.base_placement, warm_source,
-            secondary_deadline, rec.secondary_seed, &rec.secondary_stats,
-            mip_hint);
-        if (!rec.secondary_attempt.result->ok()) {
-          mark_failed(rec.secondary, position);
-        }
-      }
-    }
-    rec.seconds = sp_timer.ElapsedSeconds();
+    lrec.seconds = sp_timer.ElapsedSeconds();
   };
 
   if (pool != nullptr) {
@@ -456,20 +481,14 @@ StatusOr<RasaResult> RasaOptimizer::OptimizeWithPlan(
   Tracer::Default().End(solve_parent);
   const int64_t merge_id = Tracer::Default().Begin("merge");
 
-  // Phase 2c: merge in canonical order. The degradation ladder, breaker,
-  // and counters are *replayed* here single-threaded, so the merged
-  // placement and every counter are independent of worker scheduling.
+  // Phase 2c: fold the records in canonical order — apply each solution
+  // (or the greedy), sum the ladder counters, build the certificate term —
+  // so the placement and every counter are independent of scheduling.
   Placement working = partition.base_placement;
   // Waterfall snapshot A1: affinity already delivered by the trivial
   // residents the partition kept in place.
   const double base_affinity = GainedAffinity(cluster, working);
   std::vector<int> unplaced(cluster.num_services(), 0);
-  int algorithm_failures[2] = {0, 0};
-  auto breaker_open = [&](PoolAlgorithm algorithm) {
-    return options_.circuit_breaker_failures > 0 &&
-           algorithm_failures[static_cast<int>(algorithm)] >=
-               options_.circuit_breaker_failures;
-  };
 
   if (out_state != nullptr) {
     out_state->subproblems.assign(static_cast<size_t>(num_subproblems),
@@ -479,271 +498,106 @@ StatusOr<RasaResult> RasaOptimizer::OptimizeWithPlan(
   for (int position = 0; position < num_subproblems; ++position) {
     const int idx = order[position];
     const Subproblem& sp = partition.subproblems[idx];
-    if (plan != nullptr && plan->reuse[idx]) {
-      const SubproblemCache& cache = plan->cache->subproblems[idx];
-      SubproblemReport report;
-      report.num_services = static_cast<int>(sp.services.size());
-      report.num_machines = static_cast<int>(sp.machines.size());
-      report.internal_affinity = sp.internal_affinity;
-      report.algorithm = static_cast<PoolAlgorithm>(cache.algorithm);
-      report.used_secondary = cache.used_secondary;
-      report.failed = cache.fell_to_greedy;
-      report.unplaced_containers = cache.unplaced;
-
-      // Re-apply the cached assignments; the CanPlace guard (plus the
-      // partial-fit loop) absorbs any residual shrinkage the differ
-      // tolerated, handing whatever no longer fits to the global fallback.
-      std::vector<int> local_service(cluster.num_services(), -1);
-      for (size_t i = 0; i < sp.services.size(); ++i) {
-        local_service[sp.services[i]] = static_cast<int>(i);
-      }
-      std::vector<int> local_machine(cluster.num_machines(), -1);
-      for (size_t j = 0; j < sp.machines.size(); ++j) {
-        local_machine[sp.machines[j]] = static_cast<int>(j);
-      }
-      std::vector<std::vector<int>> counts(
-          sp.services.size(), std::vector<int>(sp.machines.size(), 0));
-      std::vector<int> placed(cluster.num_services(), 0);
-      std::vector<SubproblemSolution::Assignment> applied;
-      for (const SubproblemSolution::Assignment& a : cache.assignments) {
-        const int fit = PlaceUpTo(working, a.machine, a.service, a.count);
-        if (fit > 0) {
-          placed[a.service] += fit;
-          counts[local_service[a.service]][local_machine[a.machine]] += fit;
-          applied.push_back({a.service, a.machine, fit});
-        }
-      }
-      int sp_unplaced = 0;
-      for (int s : sp.services) {
-        unplaced[s] += cluster.service(s).demand - placed[s];
-        sp_unplaced += cluster.service(s).demand - placed[s];
-      }
-      // Realized value re-priced under this snapshot's weights.
-      report.gained_affinity = SubproblemGainedAffinity(cluster, sp, counts);
-      result.subproblems.push_back(report);
-
-      LedgerRecord lrec;
-      lrec.subproblem = idx;
-      lrec.position = position;
-      lrec.num_services = report.num_services;
-      lrec.num_machines = report.num_machines;
-      lrec.internal_affinity = sp.internal_affinity;
-      lrec.selector_policy = selector_.policy();
-      lrec.selected = report.algorithm;
-      lrec.reused = true;
-      lrec.used_secondary = cache.used_secondary;
-      lrec.fell_to_greedy = cache.fell_to_greedy;
-      lrec.ladder_rung = cache.ladder_rung;
-      lrec.realized_affinity = report.gained_affinity;
-      lrec.unplaced_containers = sp_unplaced;
-
-      // Certificate term from the cached bound, reused only while it is
-      // still sound for this snapshot: the original tightening held, every
-      // cached container fits again now, no machine regained capacity since
-      // the solve, and the weight ratio inflates away any tolerated edge
-      // growth (see DESIGN.md "Incremental re-optimization").
-      CertificateTerm term;
-      term.subproblem = idx;
-      term.internal_affinity = sp.internal_affinity;
-      term.realized = report.gained_affinity;
-      term.bound = sp.internal_affinity;
-      if (cache.tightened && sp_unplaced == 0 &&
-          !plan->residual_increased[idx]) {
-        const double candidate = std::max(
-            plan->weight_ratio[idx] * cache.bound, report.gained_affinity);
-        if (candidate < sp.internal_affinity) {
-          term.bound = candidate;
-          term.tightened = true;
-          term.source = cache.bound_source;
-        }
-      }
-      lrec.certificate_bound = term.bound;
-      lrec.bound_tightened = term.tightened;
-      result.report.certificate.terms.push_back(term);
-      result.report.records.push_back(std::move(lrec));
-
-      if (out_state != nullptr) {
-        SubproblemCache& cap = out_state->subproblems[idx];
-        cap.subproblem = sp;
-        cap.assignments = std::move(applied);
-        cap.unplaced = sp_unplaced;
-        cap.realized = report.gained_affinity;
-        cap.bound = term.bound;
-        cap.tightened = term.tightened;
-        cap.bound_source = term.source;
-        cap.algorithm = cache.algorithm;
-        cap.used_secondary = cache.used_secondary;
-        cap.fell_to_greedy = cache.fell_to_greedy;
-        cap.ladder_rung = cache.ladder_rung;
-      }
-      continue;
-    }
-
     SolveRecord& rec = records[position];
-    SubproblemReport report;
-    report.num_services = static_cast<int>(sp.services.size());
-    report.num_machines = static_cast<int>(sp.machines.size());
-    report.internal_affinity = sp.internal_affinity;
-    report.algorithm = rec.primary;
-    report.seconds = rec.seconds;
-
-    // Flight-recorder entry, filled as the replayed ladder decides each
-    // rung (never from the workers' advisory decisions, so the record
-    // sequence is scheduling-independent).
-    LedgerRecord lrec;
+    LedgerRecord& lrec = rec.ledger;
     lrec.subproblem = idx;
     lrec.position = position;
-    lrec.num_services = report.num_services;
-    lrec.num_machines = report.num_machines;
+    lrec.num_services = static_cast<int>(sp.services.size());
+    lrec.num_machines = static_cast<int>(sp.machines.size());
     lrec.internal_affinity = sp.internal_affinity;
     lrec.selector_policy = selector_.policy();
-    lrec.selected = rec.primary;
-    lrec.budget_seconds = rec.budget;
-    lrec.seconds = rec.seconds;
 
-    // Rung 1: the selected algorithm.
-    const SubproblemSolution* solution = nullptr;
-    if (rec.primary_attempt.expired) {
-      // Global budget was exhausted: no attempt, no counters (matches the
-      // sequential ladder).
-      lrec.primary =
-          MakeAttempt(rec.primary, AttemptOutcome::kExpired, nullptr);
-    } else if (breaker_open(rec.primary)) {
-      ++result.breaker_skips;
-      lrec.primary = MakeAttempt(rec.primary, AttemptOutcome::kPruned, nullptr);
-    } else if (rec.primary_attempt.result) {
-      if (rec.primary_attempt.result->ok()) {
-        solution = &rec.primary_attempt.result->value();
-        lrec.primary =
-            MakeAttempt(rec.primary, AttemptOutcome::kOk, &rec.primary_stats);
-      } else {
-        ++algorithm_failures[static_cast<int>(rec.primary)];
-        ++result.solver_failures;
-        lrec.primary = MakeAttempt(rec.primary, AttemptOutcome::kFailed,
-                                   &rec.primary_stats);
-      }
-    } else {
-      // Advisory-pruned: by construction the replayed breaker is open here
-      // too, so the branch above must have caught it.
-      RASA_LOG(Warning) << "subproblem " << idx
-                        << ": advisory prune without open breaker";
-      ++result.breaker_skips;
-      lrec.primary = MakeAttempt(rec.primary, AttemptOutcome::kPruned, nullptr);
-    }
+    SubproblemReport report;
+    report.num_services = lrec.num_services;
+    report.num_machines = lrec.num_machines;
+    report.internal_affinity = sp.internal_affinity;
+    report.seconds = lrec.seconds;
 
-    // Rung 2: the other pool algorithm.
-    StatusOr<SubproblemSolution> repair =
-        InternalError("secondary not attempted");
-    PoolAttemptStats repair_stats;
-    if (solution == nullptr && options_.try_secondary_algorithm &&
-        breaker_open(rec.secondary)) {
-      lrec.secondary =
-          MakeAttempt(rec.secondary, AttemptOutcome::kPruned, nullptr);
-    }
-    if (solution == nullptr && options_.try_secondary_algorithm &&
-        !breaker_open(rec.secondary)) {
-      const StatusOr<SubproblemSolution>* secondary = nullptr;
-      const PoolAttemptStats* secondary_stats = nullptr;
-      if (rec.secondary_considered) {
-        if (rec.secondary_attempt.result) {
-          secondary = &*rec.secondary_attempt.result;
-          secondary_stats = &rec.secondary_stats;
-        } else if (rec.secondary_attempt.expired) {
-          lrec.secondary =
-              MakeAttempt(rec.secondary, AttemptOutcome::kExpired, nullptr);
-        }
-        // expired / pruned: the sequential ladder would have skipped the
-        // rung at this point too (pruned implies the breaker is open, which
-        // the gate above already rejected).
-      } else if (!deadline.Expired()) {
-        // The worker saw its primary succeed, but the replayed breaker
-        // discarded it (the breaker opened later in wall-clock, earlier in
-        // canonical order). Solve the rung now, with the pre-assigned seed
-        // and the same budget slice a sequential run would use.
-        const Deadline repair_deadline =
-            deadline.ClampedToSeconds(std::max(0.02, 0.5 * rec.budget));
-        repair = RunPoolAlgorithm(rec.secondary, cluster, sp,
-                                  partition.base_placement, warm_source,
-                                  repair_deadline, rec.secondary_seed,
-                                  &repair_stats, mip_hint);
-        secondary = &repair;
-        secondary_stats = &repair_stats;
-      }
-      if (secondary != nullptr) {
-        if (secondary->ok()) {
-          RASA_LOG(Info) << "subproblem " << idx << ": "
-                         << PoolAlgorithmToString(rec.primary) << " failed, "
-                         << PoolAlgorithmToString(rec.secondary)
-                         << " rescued it";
-          solution = &secondary->value();
-          report.used_secondary = true;
-          ++result.secondary_successes;
-          lrec.secondary =
-              MakeAttempt(rec.secondary, AttemptOutcome::kOk, secondary_stats);
-        } else {
-          ++algorithm_failures[static_cast<int>(rec.secondary)];
-          ++result.solver_failures;
-          lrec.secondary = MakeAttempt(rec.secondary, AttemptOutcome::kFailed,
-                                       secondary_stats);
-        }
-      }
-    }
-
-    // Containers of this subproblem's services the merge could NOT keep on
-    // the subproblem's own machines (they go to the global fallback).
-    int sp_unplaced = 0;
     // What actually landed, captured for the next cycle's delta cache.
     std::vector<SubproblemSolution::Assignment> applied;
-    if (solution == nullptr) {
-      report.failed = true;
-      ++result.greedy_fallbacks;
-      RASA_LOG(Info) << "subproblem " << idx << " ("
-                     << PoolAlgorithmToString(report.algorithm)
-                     << ") fell through the ladder; using affinity greedy";
-      // Affinity-aware greedy fallback: far better than scattering the
-      // containers through the default scheduler.
-      SubproblemSolution greedy = GreedyAffinityPlace(cluster, sp, working);
-      report.gained_affinity = greedy.gained_affinity;
-      report.unplaced_containers = greedy.unplaced_containers;
-      std::vector<int> placed(cluster.num_services(), 0);
-      for (const SubproblemSolution::Assignment& a : greedy.assignments) {
-        placed[a.service] += a.count;  // greedy already added to `working`
-      }
-      for (int s : sp.services) {
-        unplaced[s] += cluster.service(s).demand - placed[s];
-        sp_unplaced += cluster.service(s).demand - placed[s];
-      }
-      applied = std::move(greedy.assignments);
+    const SubproblemCache* cache = nullptr;
+    if (plan != nullptr && plan->reuse[idx]) {
+      // Re-apply the cached assignments; the CanPlace guard absorbs any
+      // residual shrinkage the differ tolerated, handing whatever no longer
+      // fits to the global fallback. Ladder fields echo the cached solve.
+      cache = &plan->cache->subproblems[idx];
+      lrec.selected = static_cast<PoolAlgorithm>(cache->algorithm);
+      lrec.reused = true;
+      lrec.used_secondary = cache->used_secondary;
+      lrec.fell_to_greedy = cache->fell_to_greedy;
+      lrec.ladder_rung = cache->ladder_rung;
+      applied = ApplyAssignments(working, cache->assignments);
+      // Realized value re-priced under this snapshot's weights.
+      report.gained_affinity = RealizedAffinity(cluster, sp, applied);
+      report.unplaced_containers = cache->unplaced;
     } else {
-      // Apply the assignments to the working placement; defensively skip
-      // anything that no longer fits.
-      std::vector<int> placed(cluster.num_services(), 0);
-      for (const SubproblemSolution::Assignment& a : solution->assignments) {
-        const int fit = PlaceUpTo(working, a.machine, a.service, a.count);
-        placed[a.service] += fit;
-        if (fit > 0) applied.push_back({a.service, a.machine, fit});
+      for (const SolveAttempt* attempt : {&lrec.primary, &lrec.secondary}) {
+        if (attempt->outcome == AttemptOutcome::kFailed) {
+          ++result.solver_failures;
+        }
       }
-      for (int s : sp.services) {
-        unplaced[s] += cluster.service(s).demand - placed[s];
-        sp_unplaced += cluster.service(s).demand - placed[s];
+      if (lrec.primary.outcome == AttemptOutcome::kPruned) {
+        ++result.breaker_skips;
       }
-      report.gained_affinity = solution->gained_affinity;
-      report.unplaced_containers = solution->unplaced_containers;
+      if (lrec.used_secondary) {
+        RASA_LOG(Info) << "subproblem " << idx << ": "
+                       << PoolAlgorithmToString(lrec.primary.algorithm)
+                       << " failed, "
+                       << PoolAlgorithmToString(lrec.secondary.algorithm)
+                       << " rescued it";
+        ++result.secondary_successes;
+      }
+      lrec.fell_to_greedy = !rec.solution.has_value();
+      lrec.ladder_rung =
+          lrec.fell_to_greedy ? 2 : (lrec.used_secondary ? 1 : 0);
+      if (rec.solution) {
+        applied = ApplyAssignments(working, rec.solution->assignments);
+        report.gained_affinity = rec.solution->gained_affinity;
+        report.unplaced_containers = rec.solution->unplaced_containers;
+      } else {
+        ++result.greedy_fallbacks;
+        RASA_LOG(Info) << "subproblem " << idx << " ("
+                       << PoolAlgorithmToString(lrec.selected)
+                       << ") fell through the ladder; using affinity greedy";
+        // Affinity-aware greedy fallback: far better than scattering the
+        // containers through the default scheduler. It places straight
+        // into `working`.
+        SubproblemSolution greedy = GreedyAffinityPlace(cluster, sp, working);
+        report.gained_affinity = greedy.gained_affinity;
+        report.unplaced_containers = greedy.unplaced_containers;
+        applied = std::move(greedy.assignments);
+      }
     }
-    result.subproblems.push_back(report);
+    report.algorithm = lrec.selected;
+    report.used_secondary = lrec.used_secondary;
+    report.failed = lrec.fell_to_greedy;
 
-    lrec.used_secondary = report.used_secondary;
-    lrec.fell_to_greedy = report.failed;
-    lrec.ladder_rung = report.failed ? 2 : (report.used_secondary ? 1 : 0);
+    // Containers of this subproblem's services the fold could NOT keep on
+    // the subproblem's own machines (they go to the global fallback).
+    std::vector<int> placed(cluster.num_services(), 0);
+    for (const SubproblemSolution::Assignment& a : applied) {
+      placed[a.service] += a.count;
+    }
+    int sp_unplaced = 0;
+    for (int s : sp.services) {
+      unplaced[s] += cluster.service(s).demand - placed[s];
+      sp_unplaced += cluster.service(s).demand - placed[s];
+    }
     lrec.realized_affinity = report.gained_affinity;
     lrec.unplaced_containers = sp_unplaced;
+
     const SolveAttempt* winner =
-        report.failed ? nullptr
-                      : (report.used_secondary ? &lrec.secondary
-                                               : &lrec.primary);
-    CertificateTerm term = MakeCertificateTerm(
-        idx, sp.internal_affinity, report.gained_affinity, sp_unplaced,
-        winner);
+        lrec.fell_to_greedy
+            ? nullptr
+            : (lrec.used_secondary ? &lrec.secondary : &lrec.primary);
+    const CertificateTerm term =
+        cache != nullptr
+            ? ReusedCertificateTerm(idx, sp.internal_affinity,
+                                    report.gained_affinity, sp_unplaced,
+                                    *cache, plan->residual_increased[idx],
+                                    plan->weight_ratio[idx])
+            : MakeCertificateTerm(idx, sp.internal_affinity,
+                                  report.gained_affinity, sp_unplaced, winner);
     lrec.certificate_bound = term.bound;
     lrec.bound_tightened = term.tightened;
 
@@ -756,12 +610,13 @@ StatusOr<RasaResult> RasaOptimizer::OptimizeWithPlan(
       cap.bound = term.bound;
       cap.tightened = term.tightened;
       cap.bound_source = term.source;
-      cap.algorithm = static_cast<int>(report.algorithm);
-      cap.used_secondary = report.used_secondary;
-      cap.fell_to_greedy = report.failed;
+      cap.algorithm = static_cast<int>(lrec.selected);
+      cap.used_secondary = lrec.used_secondary;
+      cap.fell_to_greedy = lrec.fell_to_greedy;
       cap.ladder_rung = lrec.ladder_rung;
     }
 
+    result.subproblems.push_back(report);
     result.report.certificate.terms.push_back(term);
     result.report.records.push_back(std::move(lrec));
   }

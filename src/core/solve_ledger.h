@@ -12,7 +12,7 @@ enum class AttemptOutcome {
   kOk,       // solver returned a solution
   kFailed,   // solver ran and failed (OOT / infeasible model / error)
   kExpired,  // global budget was gone before the attempt
-  kPruned,   // skipped by an open circuit breaker
+  kPruned,   // skipped by the circuit breaker
 };
 
 const char* AttemptOutcomeToString(AttemptOutcome outcome);
@@ -34,8 +34,8 @@ struct SolveAttempt {
 
 /// Flight-recorder entry for one per-subproblem solve: everything needed to
 /// reconstruct why the ladder ended where it did and what quality bound the
-/// solvers proved. Assembled by the merge phase in canonical solve order,
-/// so the sequence is bit-identical at every thread count.
+/// solvers proved. Folded into the result in canonical solve order, so the
+/// sequence is bit-identical at every thread count.
 struct LedgerRecord {
   int subproblem = 0;  // global subproblem index
   int position = 0;    // canonical solve position (0 = highest affinity)
@@ -47,11 +47,9 @@ struct LedgerRecord {
   SelectorPolicy selector_policy = SelectorPolicy::kHeuristic;
   PoolAlgorithm selected = PoolAlgorithm::kCg;
 
-  /// Ladder rungs in order, as the canonical replay decided them (a rung
-  /// the replayed breaker skipped records kPruned even if a worker ran it
-  /// speculatively, so the sequence is scheduling-independent). The rare
-  /// merge-phase secondary re-solve (advisory breaker diverged from the
-  /// replayed one) lands in `secondary` like any other secondary attempt.
+  /// Ladder rungs in order, as the subproblem's worker ran them. The
+  /// circuit breaker is decided before the fan-out, so a kPruned rung is a
+  /// function of the canonical order and the labels, never of scheduling.
   SolveAttempt primary;
   SolveAttempt secondary;
 
@@ -66,7 +64,7 @@ struct LedgerRecord {
   bool reused = false;
 
   double budget_seconds = 0.0;  // primary's reserved budget share
-  double seconds = 0.0;         // wall-clock of the speculative solve
+  double seconds = 0.0;         // wall-clock of the whole ladder
 
   /// What the winning rung realized inside the subproblem.
   double realized_affinity = 0.0;

@@ -23,6 +23,21 @@ void PopulateSubproblemEdges(const Cluster& cluster, Subproblem& subproblem) {
   }
 }
 
+std::vector<int> ActiveRules(const Cluster& cluster,
+                             const Subproblem& subproblem) {
+  std::vector<int> rules;
+  std::vector<bool> seen(cluster.anti_affinity().size(), false);
+  for (int s : subproblem.services) {
+    for (int k : cluster.RulesOfService(s)) {
+      if (!seen[k]) {
+        seen[k] = true;
+        rules.push_back(k);
+      }
+    }
+  }
+  return rules;
+}
+
 double ResidualCapacity(const Cluster& cluster, const Placement& base,
                         int machine, int r) {
   return cluster.machine(machine).capacity[r] - base.UsedResource(machine, r);

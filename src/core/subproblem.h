@@ -39,6 +39,11 @@ struct SubproblemSolution {
 /// `services` are already set.
 void PopulateSubproblemEdges(const Cluster& cluster, Subproblem& subproblem);
 
+/// Anti-affinity rules touching any of the subproblem's services, each
+/// once, in first-seen order over `services` then each service's rules.
+std::vector<int> ActiveRules(const Cluster& cluster,
+                             const Subproblem& subproblem);
+
 /// Residual capacity of `machine` for resource `r` given the containers
 /// already sitting on it in `base` (trivial services stay put).
 double ResidualCapacity(const Cluster& cluster, const Placement& base,

@@ -13,7 +13,9 @@
 
 #include "cluster/generator.h"
 #include "common/logging.h"
+#include "core/mip_algorithm.h"
 #include "core/objective.h"
+#include "core/partitioning.h"
 #include "core/rasa.h"
 #include "gtest/gtest.h"
 #include "sim/workflow.h"
@@ -183,6 +185,82 @@ TEST(RasaDeterminismTest, AllThreadCountsAgree) {
   for (int threads : {2, 3, 8}) {
     SCOPED_TRACE(::testing::Message() << threads << " threads");
     ExpectIdenticalResults(seq, RunOptimize(snapshot, options, threads));
+  }
+}
+
+// The circuit breaker, with every subproblem labelled MIP. M2 at scale 8 is
+// the smallest generated cluster with more than three subproblems over
+// MIP's row cap whose first three canonical positions are all over it (M2
+// at scale 16 has four, but one that fits comes before the third, and its
+// branch-and-bound runs to its budget share). So the first three MIP
+// primaries fail, the breaker opens, every later one is pruned, and CG
+// solves them all on rung 1; records and placement must not depend on the
+// thread count.
+TEST(RasaDeterminismTest, CircuitBreakerPrunesMipAfterThreeRowCapMisses) {
+  StatusOr<ClusterSnapshot> snapshot = GenerateCluster(M2Spec(8.0));
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  const Cluster& cluster = *snapshot->cluster;
+  RasaOptions options;
+  // The CG secondary on the largest subproblem gets half that subproblem's
+  // share of the budget and takes about 15 s under ThreadSanitizer: 30 s
+  // would cut it off mid-solve, where results depend on timing.
+  options.timeout_seconds = 300.0;
+  options.compute_migration = false;
+  auto run = [&](int threads) {
+    RasaOptions opts = options;
+    opts.num_threads = threads;
+    RasaOptimizer optimizer(opts,
+                            AlgorithmSelector(SelectorPolicy::kAlwaysMip));
+    StatusOr<RasaResult> result =
+        optimizer.Optimize(cluster, snapshot->original_placement);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return std::move(result).value();
+  };
+  const PartitionResult partition = PartitionServices(
+      cluster, snapshot->original_placement, options.partitioning);
+
+  const RasaResult seq = run(1);
+  int misses = 0;
+  int pruned = 0;
+  for (const LedgerRecord& rec : seq.report.records) {
+    SCOPED_TRACE(::testing::Message() << "position " << rec.position);
+    ASSERT_EQ(rec.selected, PoolAlgorithm::kMip);
+    if (misses < 3) {
+      ASSERT_FALSE(MipModelFits(cluster, partition.subproblems[rec.subproblem]))
+          << "a MIP that fits runs before the breaker opens";
+      EXPECT_EQ(rec.primary.outcome, AttemptOutcome::kFailed);
+      ++misses;
+    } else {
+      EXPECT_EQ(rec.primary.outcome, AttemptOutcome::kPruned);
+      ++pruned;
+    }
+    EXPECT_EQ(rec.secondary.algorithm, PoolAlgorithm::kCg);
+    EXPECT_EQ(rec.secondary.outcome, AttemptOutcome::kOk);
+    EXPECT_EQ(rec.ladder_rung, 1);
+  }
+  EXPECT_EQ(misses, 3);
+  EXPECT_GE(pruned, 1);
+  EXPECT_EQ(seq.breaker_skips, pruned);
+  EXPECT_EQ(seq.solver_failures, 3);
+  EXPECT_EQ(seq.secondary_successes, misses + pruned);
+  EXPECT_EQ(seq.greedy_fallbacks, 0);
+
+  for (int threads : {4, 8}) {
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    const RasaResult par = run(threads);
+    ExpectIdenticalResults(seq, par);
+    ASSERT_EQ(seq.report.records.size(), par.report.records.size());
+    for (size_t i = 0; i < seq.report.records.size(); ++i) {
+      const LedgerRecord& a = seq.report.records[i];
+      const LedgerRecord& b = par.report.records[i];
+      EXPECT_EQ(a.subproblem, b.subproblem) << "record " << i;
+      EXPECT_EQ(a.primary.outcome, b.primary.outcome) << "record " << i;
+      EXPECT_EQ(a.secondary.algorithm, b.secondary.algorithm) << "record " << i;
+      EXPECT_EQ(a.secondary.outcome, b.secondary.outcome) << "record " << i;
+      EXPECT_EQ(a.ladder_rung, b.ladder_rung) << "record " << i;
+      EXPECT_EQ(a.realized_affinity, b.realized_affinity) << "record " << i;
+      EXPECT_EQ(a.certificate_bound, b.certificate_bound) << "record " << i;
+    }
   }
 }
 

@@ -188,6 +188,49 @@ TEST(MipAlgorithmTest, BuildProducesFaithfulModel) {
   EXPECT_EQ(mip->model.num_constraints(), 8);
 }
 
+// MipModelFits and BuildSubproblemMip share one row count: a model of
+// exactly `max_model_rows` rows fits and is built, one row over is not.
+TEST(MipAlgorithmTest, ModelFitsAtTheRowCapBoundary) {
+  PairCase c;
+  const int rows = 8;  // 2 SLA + 2 capacity + 4 linearization
+  EXPECT_TRUE(MipModelFits(*c.cluster, c.sp, rows));
+  EXPECT_FALSE(MipModelFits(*c.cluster, c.sp, rows - 1));
+  StatusOr<SubproblemMip> at_cap =
+      BuildSubproblemMip(*c.cluster, c.sp, c.base, rows);
+  ASSERT_TRUE(at_cap.ok());
+  EXPECT_EQ(at_cap->model.num_constraints(), rows);
+  StatusOr<SubproblemMip> over_cap =
+      BuildSubproblemMip(*c.cluster, c.sp, c.base, rows - 1);
+  ASSERT_FALSE(over_cap.ok());
+  EXPECT_EQ(over_cap.status().code(), StatusCode::kResourceExhausted);
+}
+
+// Anti-affinity rows count too: each rule touching the subproblem adds one
+// row per machine. ActiveRules lists each such rule once, in first-seen
+// order over the subproblem's services.
+TEST(MipAlgorithmTest, ModelFitsCountsActiveRules) {
+  auto cluster = ClusterBuilder()
+                     .AddService(2, {1.0})
+                     .AddService(2, {1.0})
+                     .AddMachine({4.0})
+                     .AddMachine({4.0})
+                     .AddAffinity(0, 1, 1.0)
+                     .AddRule({1}, 1)
+                     .AddRule({0, 1}, 3)
+                     .Build();
+  Subproblem sp;
+  sp.services = {0, 1};
+  sp.machines = {0, 1};
+  PopulateSubproblemEdges(*cluster, sp);
+  EXPECT_EQ(ActiveRules(*cluster, sp), (std::vector<int>{1, 0}));
+  const Placement base(*cluster);
+  const int rows = 12;  // the pair case's 8 + 2 rules x 2 machines
+  EXPECT_TRUE(MipModelFits(*cluster, sp, rows));
+  EXPECT_FALSE(MipModelFits(*cluster, sp, rows - 1));
+  EXPECT_TRUE(BuildSubproblemMip(*cluster, sp, base, rows).ok());
+  EXPECT_FALSE(BuildSubproblemMip(*cluster, sp, base, rows - 1).ok());
+}
+
 TEST(MipAlgorithmTest, SchedulabilityZerosUpperBounds) {
   auto cluster = ClusterBuilder()
                      .AddService(1, {1.0}, /*platform=*/1)

@@ -254,6 +254,59 @@ TEST(IncrementalOptimizeTest, FirstCallIsColdStartThenSteadyStateReuses) {
   }
 }
 
+// Reused subproblems take no share of the deadline: with one dirty
+// subproblem it reserves (nearly) the whole budget, instead of holding back
+// a per-subproblem reserve for the clean ones that never solve.
+TEST(IncrementalOptimizeTest, LoneDirtySubproblemGetsTheWholeBudget) {
+  const ClusterSnapshot snapshot = MakeCluster(11);
+  const RasaOptions options = TestOptions(29);
+  const RasaOptimizer optimizer(options,
+                                AlgorithmSelector(SelectorPolicy::kHeuristic));
+  IncrementalState state;
+  StatusOr<RasaResult> first = optimizer.Optimize(
+      *snapshot.cluster, snapshot.original_placement,
+      OptimizeContext(nullptr, &state));
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_GE(state.subproblems.size(), 6u);
+
+  // Re-weight one edge of the lowest-affinity subproblem that has edges:
+  // only that subproblem is dirty, well under the full-resolve fraction.
+  const Subproblem* target = nullptr;
+  for (const SubproblemCache& cache : state.subproblems) {
+    const Subproblem& sp = cache.subproblem;
+    if (!sp.edges.empty() &&
+        (target == nullptr ||
+         sp.internal_affinity < target->internal_affinity)) {
+      target = &sp;
+    }
+  }
+  ASSERT_NE(target, nullptr);
+  const AffinityEdge bumped = target->edges.front();
+  AffinityGraph graph(snapshot.cluster->num_services());
+  for (const AffinityEdge& e : snapshot.cluster->affinity().edges()) {
+    const bool hit = e.u == bumped.u && e.v == bumped.v;
+    graph.AddEdge(e.u, e.v, hit ? e.weight * 1.5 : e.weight);
+  }
+  const Cluster reweighted(snapshot.cluster->resource_names(),
+                           snapshot.cluster->services(),
+                           snapshot.cluster->machines(), std::move(graph),
+                           snapshot.cluster->anti_affinity());
+  StatusOr<RasaResult> second =
+      optimizer.Optimize(reweighted, first->new_placement.Rebind(reweighted),
+                         OptimizeContext(nullptr, &state));
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  ASSERT_TRUE(second->incremental);
+  ASSERT_EQ(second->dirty_subproblems, 1);
+  ASSERT_GE(second->reused_subproblems, 5);
+  int solved = 0;
+  for (const LedgerRecord& rec : second->report.records) {
+    if (rec.reused) continue;
+    ++solved;
+    EXPECT_NEAR(rec.budget_seconds, options.timeout_seconds, 0.05);
+  }
+  EXPECT_EQ(solved, 1);
+}
+
 TEST(IncrementalOptimizeTest, StructureChangeFallsBackToFullResolve) {
   const ClusterSnapshot snapshot = MakeCluster(11);
   const RasaOptimizer optimizer(TestOptions(29),
