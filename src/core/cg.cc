@@ -5,7 +5,6 @@
 #include <limits>
 #include <unordered_map>
 
-#include "common/arena.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/strings.h"
@@ -49,12 +48,10 @@ class CgSolver {
 
   void BuildContexts();
   double PatternValue(const std::vector<int>& counts) const;
-  // `used` / `rule_used` are read-only views sized num_resources /
-  // active_rules_ (raw pointers so heap- and arena-backed scratch both
-  // qualify).
+  // `used` / `rule_used` are sized num_resources / active_rules_.
   bool FitsOneMore(const MachineContext& ctx, const std::vector<int>& counts,
-                   const double* used, const int* rule_used,
-                   int local_service) const;
+                   const std::vector<double>& used,
+                   const std::vector<int>& rule_used, int local_service) const;
   // Greedy pricing: maximize v(p) - pi.p - mu. Returns the best pattern and
   // its reduced cost.
   Pattern PricePattern(const MachineContext& ctx,
@@ -84,9 +81,10 @@ class CgSolver {
 
   // Pattern uid allocator (PricePattern is const but still mints patterns).
   mutable int next_pattern_uid_ = 0;
-  // Pricing scratch pool: PricePattern runs once per machine per round and
-  // resets this instead of re-allocating its `used`/`rule_used` buffers.
-  mutable Arena pricing_arena_;
+  // Pricing scratch: PricePattern runs once per machine per round and
+  // resets these instead of re-allocating its `used`/`rule_used` buffers.
+  mutable std::vector<double> pricing_used_;
+  mutable std::vector<int> pricing_rule_used_;
   // Basis of the last optimal master plus the pattern uid behind each of
   // its structural columns; rows (M convexity + S demand) are stable
   // across rounds, so this is enough to warm-start the next master.
@@ -147,7 +145,8 @@ double CgSolver::PatternValue(const std::vector<int>& counts) const {
 
 bool CgSolver::FitsOneMore(const MachineContext& ctx,
                            const std::vector<int>& counts,
-                           const double* used, const int* rule_used,
+                           const std::vector<double>& used,
+                           const std::vector<int>& rule_used,
                            int local_service) const {
   if (!ctx.can_host[local_service]) return false;
   const int s = sp_.services[local_service];
@@ -182,14 +181,13 @@ Pattern CgSolver::PricePattern(const MachineContext& ctx,
                                const std::vector<double>& pi, double mu,
                                double* reduced_cost) const {
   const int R = cluster_.num_resources();
-  // `counts` escapes as Pattern::counts (heap); the capacity/rule scratch
-  // lives in the recycled pricing arena.
+  // `counts` escapes as Pattern::counts; the capacity/rule scratch is
+  // recycled across calls (`assign` keeps capacity).
   std::vector<int> counts(S(), 0);
-  pricing_arena_.Reset();
-  ArenaVector<double> used(static_cast<size_t>(R), 0.0,
-                           ArenaAllocator<double>(&pricing_arena_));
-  ArenaVector<int> rule_used(active_rules_.size(), 0,
-                             ArenaAllocator<int>(&pricing_arena_));
+  std::vector<double>& used = pricing_used_;
+  std::vector<int>& rule_used = pricing_rule_used_;
+  used.assign(static_cast<size_t>(R), 0.0);
+  rule_used.assign(active_rules_.size(), 0);
 
   auto commit = [&](int i) {
     ++counts[i];
@@ -230,7 +228,7 @@ Pattern CgSolver::PricePattern(const MachineContext& ctx,
     int best_single = -1;
     double best_single_gain = 1e-9;
     for (int i = 0; i < S(); ++i) {
-      if (!FitsOneMore(ctx, counts, used.data(), rule_used.data(), i)) continue;
+      if (!FitsOneMore(ctx, counts, used, rule_used, i)) continue;
       const double g = marginal(i);
       if (g > best_single_gain) {
         best_single_gain = g;
@@ -252,10 +250,10 @@ Pattern CgSolver::PricePattern(const MachineContext& ctx,
     for (const AffinityEdge& e : sp_.edges) {
       const int lu = local_of_[e.u];
       const int lv = local_of_[e.v];
-      if (!FitsOneMore(ctx, counts, used.data(), rule_used.data(), lu)) continue;
+      if (!FitsOneMore(ctx, counts, used, rule_used, lu)) continue;
       const double gu = marginal(lu);
       ++counts[lu];  // tentatively
-      const bool fits_v = FitsOneMore(ctx, counts, used.data(), rule_used.data(), lv);
+      const bool fits_v = FitsOneMore(ctx, counts, used, rule_used, lv);
       // NB: `used`/`rule_used` not updated for the tentative add; re-check
       // capacity for v including u's footprint.
       double gv = -1e18;
@@ -629,7 +627,7 @@ StatusOr<SubproblemSolution> CgSolver::Solve(CgStats* stats) {
       const int i = local_of_[s];
       if (i < 0) continue;
       for (int c = 0; c < count; ++c) {
-        if (!FitsOneMore(contexts_[j], counts, used.data(), rule_used.data(), i)) break;
+        if (!FitsOneMore(contexts_[j], counts, used, rule_used, i)) break;
         ++counts[i];
         const std::vector<double>& req = cluster_.service(s).request;
         for (int r = 0; r < cluster_.num_resources(); ++r) used[r] += req[r];

@@ -16,6 +16,9 @@ std::string MigrationPlan::Summary() const {
 
 namespace {
 
+// Safety cap on the planner's delete/create rounds.
+constexpr int kMaxPlannerIterations = 1 << 20;
+
 // Containers of `service` that must leave `machine`: positive part of
 // (current - target).
 int SurplusOn(const Placement& current, const Placement& target, int machine,
@@ -65,15 +68,14 @@ StatusOr<MigrationPlan> ComputeMigrationPath(const Cluster& cluster,
   // How many creations each service still owes (bounded by the matched
   // delete/create volume; excess deletes are stranded to the final batch).
   std::vector<int> pending_creates(N, 0);
-  std::vector<int> pending_deletes(N, 0);
   for (int s = 0; s < N; ++s) {
     // Surplus summed over the machines hosting s; deficit follows because
     // surplus - deficit == TotalOf(current) - TotalOf(target).
+    int surplus = 0;
     for (const auto& [m, count] : current.MachinesOf(s)) {
-      pending_deletes[s] += std::max(0, count - target.CountOn(m, s));
+      surplus += std::max(0, count - target.CountOn(m, s));
     }
-    pending_creates[s] =
-        pending_deletes[s] - current.TotalOf(s) + target.TotalOf(s);
+    pending_creates[s] = surplus - current.TotalOf(s) + target.TotalOf(s);
   }
 
   // SLA floor (shared with validator and executor; see MinAliveFloor for
@@ -84,7 +86,7 @@ StatusOr<MigrationPlan> ComputeMigrationPath(const Cluster& cluster,
   };
   auto alive = [&](int s) { return current.TotalOf(s); };
 
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
+  for (int iter = 0; iter < kMaxPlannerIterations; ++iter) {
     // ---- Delete set: at most one container per machine. Deletes in one
     // batch execute in parallel, so SLA accounting must include the picks
     // already made for other machines in this batch.
@@ -119,7 +121,6 @@ StatusOr<MigrationPlan> ComputeMigrationPath(const Cluster& cluster,
     for (const MigrationCommand& cmd : deletes) {
       RASA_RETURN_IF_ERROR(current.Remove(cmd.machine, cmd.service));
       ++offline[cmd.service];
-      --pending_deletes[cmd.service];
     }
     if (!deletes.empty()) {
       plan.total_deletes += static_cast<int>(deletes.size());
@@ -157,13 +158,10 @@ StatusOr<MigrationPlan> ComputeMigrationPath(const Cluster& cluster,
       plan.batches.push_back(std::move(creates));
     }
 
-    // Done with the matched moves?
+    // Done with the matched moves? (Surplus beyond them is stranded and
+    // handled below.)
     bool pending = false;
     for (int s = 0; s < N; ++s) {
-      if (pending_creates[s] > 0 ||
-          pending_deletes[s] > pending_creates[s]) {
-        // pending_deletes beyond creates is stranded surplus; handled below.
-      }
       if (pending_creates[s] > 0) pending = true;
     }
     if (!pending) break;

@@ -38,8 +38,6 @@ struct MigrationOptions {
   /// SLA floor: every service keeps at least this fraction of its demand
   /// alive after every batch (the paper relaxes SLA to 75%).
   double min_alive_fraction = 0.75;
-  /// Safety cap on iterations.
-  int max_iterations = 1 << 20;
 };
 
 /// The SLA floor enforced between migration batches: the minimum number of

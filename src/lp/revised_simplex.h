@@ -11,8 +11,8 @@ namespace rasa {
 /// (linalg/sparse.h) instead of an explicit dense matrix. Per pivot it
 /// does one BTRAN (duals), a sparse pricing sweep, one FTRAN (entering
 /// column) and a single eta append; the factorization is rebuilt every
-/// `LpOptions::refactor_interval` updates or earlier when a pivot element
-/// is too small to update on safely.
+/// 64 updates or earlier when a pivot element is too small to update on
+/// safely.
 ///
 /// Warm starts (LpOptions::warm_basis): the basis is validated against the
 /// current model, bound changes are absorbed by coercing nonbasic columns

@@ -20,19 +20,6 @@ enum class LpStatus {
 
 const char* LpStatusToString(LpStatus status);
 
-/// Which simplex implementation SolveLp dispatches to.
-enum class LpAlgorithm {
-  /// Sparse revised simplex with a maintained eta-file factorization and
-  /// warm-start support. The default.
-  kRevised,
-  /// The original dense-tableau two-phase simplex (dense basis inverse).
-  /// Kept selectable for differential testing and as an automatic
-  /// fallback when the revised path reports kError.
-  kDenseTableau,
-};
-
-const char* LpAlgorithmToString(LpAlgorithm algorithm);
-
 /// Status of one column (structural variable or slack) in a simplex basis.
 enum class LpVarStatus : uint8_t {
   kAtLower = 0,
@@ -72,19 +59,14 @@ struct LpOptions {
   /// this instead of restating a literal — keeping the two tied to one
   /// knob is what makes tightening `tolerance` safe.
   double FeasibilityTolerance() const { return 10.0 * tolerance; }
-  /// Implementation selector; see LpAlgorithm.
-  LpAlgorithm algorithm = LpAlgorithm::kRevised;
-  /// Break-even dispatch under kRevised: models with at most this many
-  /// rows (and at most twice as many columns) run on the dense tableau
-  /// kernel, which beats the factorization's constant overhead at that
-  /// size. 0 forces the revised kernel on every model (differential and
+  /// Break-even dispatch in SolveLp: models with at most this many rows
+  /// (and at most twice as many columns) run on the dense tableau kernel,
+  /// which beats the factorization's constant overhead at that size.
+  /// 0 forces the revised kernel on every model (differential and
   /// warm-start tests rely on this). Warm bases are only produced and
   /// consumed by the revised kernel, so the warm-start chain naturally
   /// restricts itself to models above the cutoff.
   int dense_size_cutoff = 64;
-  /// Revised simplex only: number of eta updates accumulated on top of a
-  /// fresh factorization before the next periodic refactorization.
-  int refactor_interval = 64;
   /// Optional warm start (revised simplex only; the dense path ignores
   /// it). Must describe a basis for a model with the same rows. The
   /// pointee is not retained past the SolveLp call.
@@ -121,10 +103,10 @@ struct LpResult {
   bool warm_started = false;
 };
 
-/// Solves the LP relaxation of `model`. Dispatches on options.algorithm:
-/// the sparse revised simplex by default, the dense tableau on request or
-/// as an automatic fallback if the revised path errors. Integer markers on
-/// variables are ignored here.
+/// Solves the LP relaxation of `model`: the sparse revised simplex, or the
+/// dense tableau on models under `dense_size_cutoff` and as an automatic
+/// fallback if the revised path errors. Integer markers on variables are
+/// ignored here.
 LpResult SolveLp(const LpModel& model, const LpOptions& options = {});
 
 /// The original dense-tableau two-phase simplex (explicit dense basis

@@ -510,77 +510,57 @@ Status WorkflowRunner::RunCycleNormal(int cycle) {
           plan.batches = result.migration.batches;
           RASA_RETURN_IF_ERROR(journal_->Append(plan));
         }
-        if (options_.use_migration_executor) {
-          PlacementActions base_actions(live_);
-          FaultyClusterActions faulty_actions(base_actions, injector_);
-          ClusterActions& actions =
-              options_.inject_faults
-                  ? static_cast<ClusterActions&>(faulty_actions)
-                  : static_cast<ClusterActions&>(base_actions);
-          exec_options.journal = journal_.get();
-          exec_options.journal_cycle = cycle;
-          if (options_.inject_faults) {
-            exec_options.crash_after_command = [this] {
-              return injector_.CrashOnCommandApplied();
-            };
-            exec_options.crash_after_batch = [this] {
-              return injector_.CrashOnBatchComplete();
-            };
-          }
-          const MigrationExecutionReport exec = ExecuteMigration(
-              cluster_, live_, candidate, result.migration, actions,
-              exec_options);
-          if (exec.crashed) {
-            // Stopped dead mid-execution: the live placement is whatever
-            // the applied commands left behind; nothing else runs.
-            crashed_ = true;
-            return Status::OK();
-          }
-          cr.executed = true;
-          cr.reached_target = exec.reached_target;
-          cr.moved_containers = exec.commands_succeeded;
-          cr.migration_batches = exec.batches_executed;
-          cr.commands_failed = exec.commands_failed;
-          cr.command_retries = exec.retries;
-          cr.replans = exec.replans;
-          ++report_.executions;
-          if (!exec.reached_target) ++report_.partial_executions;
-          report_.commands_failed += exec.commands_failed;
-          report_.command_retries += exec.retries;
-          report_.replans += exec.replans;
-          report_.sla_violations += exec.sla_violations;
-          report_.feasibility_violations += exec.feasibility_violations;
-          if (durable_) {
-            JournalRecord done;
-            done.type = JournalRecordType::kExecDone;
-            done.cycle = cycle;
-            done.reached_target = exec.reached_target;
-            done.batches_executed = exec.batches_executed;
-            done.commands_succeeded = exec.commands_succeeded;
-            done.commands_failed = exec.commands_failed;
-            done.retries = exec.retries;
-            done.replans = exec.replans;
-            done.sla_violations = exec.sla_violations;
-            done.feasibility_violations = exec.feasibility_violations;
-            RASA_RETURN_IF_ERROR(journal_->Append(done));
-          }
-        } else {
-          cr.executed = true;
-          cr.reached_target = true;
-          cr.moved_containers = result.moved_containers;
-          cr.migration_batches =
-              static_cast<int>(result.migration.batches.size());
-          ++report_.executions;
-          live_ = std::move(candidate);
-          if (durable_) {
-            JournalRecord done;
-            done.type = JournalRecordType::kExecDone;
-            done.cycle = cycle;
-            done.reached_target = true;
-            done.batches_executed = cr.migration_batches;
-            done.commands_succeeded = cr.moved_containers;
-            RASA_RETURN_IF_ERROR(journal_->Append(done));
-          }
+        PlacementActions base_actions(live_);
+        FaultyClusterActions faulty_actions(base_actions, injector_);
+        ClusterActions& actions =
+            options_.inject_faults
+                ? static_cast<ClusterActions&>(faulty_actions)
+                : static_cast<ClusterActions&>(base_actions);
+        exec_options.journal = journal_.get();
+        exec_options.journal_cycle = cycle;
+        if (options_.inject_faults) {
+          exec_options.crash_after_command = [this] {
+            return injector_.CrashOnCommandApplied();
+          };
+          exec_options.crash_after_batch = [this] {
+            return injector_.CrashOnBatchComplete();
+          };
+        }
+        const MigrationExecutionReport exec = ExecuteMigration(
+            cluster_, live_, candidate, result.migration, actions, exec_options);
+        if (exec.crashed) {
+          // Stopped dead mid-execution: the live placement is whatever
+          // the applied commands left behind; nothing else runs.
+          crashed_ = true;
+          return Status::OK();
+        }
+        cr.executed = true;
+        cr.reached_target = exec.reached_target;
+        cr.moved_containers = exec.commands_succeeded;
+        cr.migration_batches = exec.batches_executed;
+        cr.commands_failed = exec.commands_failed;
+        cr.command_retries = exec.retries;
+        cr.replans = exec.replans;
+        ++report_.executions;
+        if (!exec.reached_target) ++report_.partial_executions;
+        report_.commands_failed += exec.commands_failed;
+        report_.command_retries += exec.retries;
+        report_.replans += exec.replans;
+        report_.sla_violations += exec.sla_violations;
+        report_.feasibility_violations += exec.feasibility_violations;
+        if (durable_) {
+          JournalRecord done;
+          done.type = JournalRecordType::kExecDone;
+          done.cycle = cycle;
+          done.reached_target = exec.reached_target;
+          done.batches_executed = exec.batches_executed;
+          done.commands_succeeded = exec.commands_succeeded;
+          done.commands_failed = exec.commands_failed;
+          done.retries = exec.retries;
+          done.replans = exec.replans;
+          done.sla_violations = exec.sla_violations;
+          done.feasibility_violations = exec.feasibility_violations;
+          RASA_RETURN_IF_ERROR(journal_->Append(done));
         }
       }
     }

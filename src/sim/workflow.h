@@ -48,12 +48,10 @@ struct WorkflowOptions {
   /// Cycles a rolled-back run keeps its services tagged unschedulable
   /// (stands in for the paper's three days).
   int unschedulable_cycles = 2;
-  /// Execute migration plans command-by-command through the hardened
-  /// executor (retry/backoff, SLA re-verification after every partial
-  /// batch, re-planning around failures) instead of atomically swapping in
-  /// the target placement.
-  bool use_migration_executor = true;
-  /// Per-command retry/backoff policy of the executor.
+  /// Per-command retry/backoff policy of the migration executor, which
+  /// runs every plan command by command (retry/backoff, SLA
+  /// re-verification after every partial batch, re-planning around
+  /// failures).
   RetryPolicy command_retry;
   /// Maximum executor re-planning rounds per cycle.
   int max_replans = 4;

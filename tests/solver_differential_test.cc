@@ -107,14 +107,10 @@ LpModel RandomModel(uint64_t seed) {
 }
 
 void CompareOnce(const LpModel& model, uint64_t seed) {
-  LpOptions dense_opts;
-  dense_opts.algorithm = LpAlgorithm::kDenseTableau;
-  const LpResult dense = SolveLp(model, dense_opts);
-
-  LpOptions revised_opts;
-  revised_opts.algorithm = LpAlgorithm::kRevised;
-  revised_opts.dense_size_cutoff = 0;  // force the factorized kernel
-  const LpResult revised = SolveLp(model, revised_opts);
+  // Both kernels are called directly: SolveLp would re-solve a revised
+  // kError on the dense tableau and compare dense against dense.
+  const LpResult dense = SolveLpDenseTableau(model);
+  const LpResult revised = SolveLpRevised(model);
 
   ASSERT_EQ(dense.status, revised.status)
       << "seed " << seed << ": dense " << LpStatusToString(dense.status)
@@ -180,9 +176,7 @@ TEST(SolverDifferentialTest, DegenerateTransportAgrees) {
 // The revised kernel must report its factorization telemetry.
 TEST(SolverDifferentialTest, RevisedReportsFactorizationStats) {
   LpModel m = RandomModel(3);
-  LpOptions opts;
-  opts.dense_size_cutoff = 0;
-  LpResult r = SolveLp(m, opts);
+  LpResult r = SolveLpRevised(m);
   EXPECT_GE(r.refactorizations, 1);
   EXPECT_GE(r.max_eta_length, 0);
   EXPECT_FALSE(r.warm_started);
