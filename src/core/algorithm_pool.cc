@@ -28,6 +28,22 @@ PoolMetrics& MetricsFor(PoolAlgorithm algorithm) {
 
 }  // namespace
 
+const char* AttemptOutcomeToString(AttemptOutcome outcome) {
+  switch (outcome) {
+    case AttemptOutcome::kNotRun:
+      return "not_run";
+    case AttemptOutcome::kOk:
+      return "ok";
+    case AttemptOutcome::kFailed:
+      return "failed";
+    case AttemptOutcome::kExpired:
+      return "expired";
+    case AttemptOutcome::kPruned:
+      return "pruned";
+  }
+  return "unknown";
+}
+
 const char* PoolAlgorithmToString(PoolAlgorithm algorithm) {
   switch (algorithm) {
     case PoolAlgorithm::kCg:
@@ -42,13 +58,13 @@ StatusOr<SubproblemSolution> RunPoolAlgorithm(
     PoolAlgorithm algorithm, const Cluster& cluster,
     const Subproblem& subproblem, const Placement& base,
     const Placement& original, const Deadline& deadline, uint64_t seed,
-    PoolAttemptStats* stats, const Placement* mip_incumbent) {
+    SolveAttempt* attempt, const Placement* mip_incumbent) {
   PoolMetrics& metrics = MetricsFor(algorithm);
   metrics.picks.Increment();
   Stopwatch timer;
   StatusOr<SubproblemSolution> result =
       InvalidArgumentError("unknown pool algorithm");
-  if (stats != nullptr) *stats = PoolAttemptStats{};
+  if (attempt != nullptr) *attempt = SolveAttempt{};
   switch (algorithm) {
     case PoolAlgorithm::kCg: {
       CgOptions options;
@@ -73,9 +89,9 @@ StatusOr<SubproblemSolution> RunPoolAlgorithm(
       refactor.Increment(static_cast<uint64_t>(cg_stats.refactorizations));
       lp_pivots.Increment(static_cast<uint64_t>(cg_stats.lp_iterations));
       eta.Observe(static_cast<double>(cg_stats.max_eta_length));
-      if (stats != nullptr) {
-        stats->has_cg = true;
-        stats->cg = cg_stats;
+      if (attempt != nullptr) {
+        attempt->has_cg = true;
+        attempt->cg = cg_stats;
       }
       break;
     }
@@ -85,16 +101,18 @@ StatusOr<SubproblemSolution> RunPoolAlgorithm(
       options.seed = seed;
       options.incumbent_hint = mip_incumbent;
       result = SolveSubproblemMip(cluster, subproblem, base, options,
-                                  stats != nullptr ? &stats->mip : nullptr);
-      if (stats != nullptr) stats->has_mip = true;
+                                  attempt != nullptr ? &attempt->mip : nullptr);
+      if (attempt != nullptr) attempt->has_mip = true;
       break;
     }
   }
   const double seconds = timer.ElapsedSeconds();
   metrics.seconds.Observe(seconds);
-  if (stats != nullptr) {
-    stats->algorithm = algorithm;
-    stats->seconds = seconds;
+  if (attempt != nullptr) {
+    attempt->algorithm = algorithm;
+    attempt->outcome =
+        result.ok() ? AttemptOutcome::kOk : AttemptOutcome::kFailed;
+    attempt->seconds = seconds;
   }
   if (!result.ok()) metrics.failures.Increment();
   return result;

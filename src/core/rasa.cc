@@ -418,17 +418,9 @@ StatusOr<RasaResult> RasaOptimizer::OptimizeWithPlan(
       attempt.outcome = AttemptOutcome::kPruned;
       return solution;
     }
-    PoolAttemptStats stats;
     StatusOr<SubproblemSolution> result =
         RunPoolAlgorithm(algorithm, cluster, sp, partition.base_placement,
-                         warm_source, rung_deadline, seed, &stats, mip_hint);
-    attempt.outcome =
-        result.ok() ? AttemptOutcome::kOk : AttemptOutcome::kFailed;
-    attempt.seconds = stats.seconds;
-    attempt.has_cg = stats.has_cg;
-    attempt.cg = stats.cg;
-    attempt.has_mip = stats.has_mip;
-    attempt.mip = stats.mip;
+                         warm_source, rung_deadline, seed, &attempt, mip_hint);
     if (result.ok()) solution = std::move(result).value();
     return solution;
   };

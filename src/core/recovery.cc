@@ -1,9 +1,6 @@
 #include "core/recovery.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -30,19 +27,6 @@ bool ApplyCommand(Placement& placement, const MigrationCommand& cmd) {
   if (!placement.CanPlace(cmd.machine, cmd.service)) return false;
   placement.Add(cmd.machine, cmd.service);
   return true;
-}
-
-// Same per-batch audit the executor runs: capacity/anti-affinity
-// feasibility plus the rolling-update SLA floor.
-void AuditState(const Cluster& cluster, const Placement& live,
-                double min_alive_fraction, int& sla_violations,
-                int& feasibility_violations) {
-  if (!live.CheckFeasible(/*check_sla=*/false).ok()) ++feasibility_violations;
-  for (int s = 0; s < cluster.num_services(); ++s) {
-    const int floor = MinAliveFloor(cluster.service(s).demand,
-                                    min_alive_fraction);
-    if (live.TotalOf(s) < floor) ++sla_violations;
-  }
 }
 
 void EncodeCommands(std::ostringstream& os,
@@ -112,34 +96,52 @@ int NumBatches(const CycleJournal& cj) {
   return n;
 }
 
-// Reconciles `observed` straight to `target`: removals before additions so
-// every intermediate state is pointwise <= max(observed, target) and
-// capacity feasibility is never transiently violated.
-void ReconcileToTarget(const Cluster& cluster, const Placement& target,
-                       Placement& observed, int& feasibility_violations) {
-  for (int m = 0; m < cluster.num_machines(); ++m) {
-    // Snapshot before mutating the map being iterated.
-    std::vector<std::pair<int, int>> extra;
-    for (const auto& [s, count] : observed.ServicesOn(m)) {
-      const int over = count - target.CountOn(m, s);
-      if (over > 0) extra.push_back({s, over});
-    }
-    for (const auto& [s, over] : extra) {
-      if (!observed.Remove(m, s, over).ok()) ++feasibility_violations;
-    }
+// Length of the longest prefix of `num_steps` steps that turns `from` into
+// `observed`; -1 when none does. `step(probe, j)` applies step j to `probe`
+// and returns false when it cannot, which ends the search.
+template <typename Step>
+int AppliedPrefix(const Cluster& cluster, const Placement& from,
+                  const Placement& observed, int num_steps, Step step) {
+  Placement probe = from.Rebind(cluster);
+  int prefix = probe.SymmetricDiff(observed) == 0 ? 0 : -1;
+  for (int j = 0; j < num_steps && step(probe, j); ++j) {
+    if (probe.SymmetricDiff(observed) == 0) prefix = j + 1;
   }
-  for (int m = 0; m < cluster.num_machines(); ++m) {
-    for (const auto& [s, count] : target.ServicesOn(m)) {
-      const int missing = count - observed.CountOn(m, s);
-      for (int i = 0; i < missing; ++i) {
-        if (!observed.CanPlace(m, s)) {
-          ++feasibility_violations;
-          break;
-        }
-        observed.Add(m, s);
-      }
+  return prefix;
+}
+
+// Where an interrupted execution stopped: the first batch ordinal without a
+// commit record (NumBatches when every batch committed) and how many of its
+// commands the observed placement shows applied (-1: no prefix explains
+// the observed placement, or a committed batch is unknown).
+struct InFlightBatch {
+  int batch = 0;
+  int prefix = -1;
+  std::vector<MigrationCommand> commands;  // the in-flight batch's
+  int commands_committed = 0;              // in the batches before it
+};
+
+InFlightBatch FindInFlightBatch(const Cluster& cluster, const CycleJournal& cj,
+                                const Placement& cycle_start,
+                                const Placement& observed) {
+  InFlightBatch out;
+  Placement expected = cycle_start.Rebind(cluster);
+  const int num_batches = NumBatches(cj);
+  for (; out.batch < num_batches; ++out.batch) {
+    if (!BatchCommands(cj, out.batch, out.commands)) return out;
+    if (!cj.batch_commits.count(out.batch) && !cj.exec_done) break;
+    for (const MigrationCommand& cmd : out.commands) {
+      ApplyCommand(expected, cmd);
     }
+    out.commands_committed += static_cast<int>(out.commands.size());
   }
+  if (out.batch == num_batches) out.commands.clear();
+  out.prefix = AppliedPrefix(
+      cluster, expected, observed, static_cast<int>(out.commands.size()),
+      [&](Placement& probe, int j) {
+        return ApplyCommand(probe, out.commands[j]);
+      });
+  return out;
 }
 
 }  // namespace
@@ -545,7 +547,9 @@ StatusOr<RecoveryAnalysis> AnalyzeWorkflowState(const std::string& state_dir) {
         cj.plan = std::move(record);
         break;
       case JournalRecordType::kBatchIntent:
-        cj.batch_intents[record.batch] = std::move(record);
+        // First intent wins: a roll-forward's suffix intent must not hide
+        // the full batch it continues (see CycleJournal::batch_intents).
+        cj.batch_intents.emplace(record.batch, std::move(record));
         break;
       case JournalRecordType::kBatchCommit:
         cj.batch_commits.insert(record.batch);
@@ -573,50 +577,26 @@ std::vector<CommandClassification> ClassifyInFlightCommands(
     bool journal_torn_tail) {
   std::vector<CommandClassification> out;
   if (cj.decision != CycleJournal::Decision::kExecute) return out;
-  Placement expected = cycle_start.Rebind(cluster);
+  const InFlightBatch in_flight =
+      FindInFlightBatch(cluster, cj, cycle_start, observed);
   const int num_batches = NumBatches(cj);
-  bool past_frontier = false;
-  for (int b = 0; b < num_batches; ++b) {
-    std::vector<MigrationCommand> commands;
-    if (!BatchCommands(cj, b, commands)) break;
-    if (!past_frontier && (cj.batch_commits.count(b) || cj.exec_done)) {
-      // Committed (or execution finished): every command applied.
-      for (const MigrationCommand& cmd : commands) {
-        ApplyCommand(expected, cmd);
-        out.push_back({b, cmd, CommandFate::kApplied});
+  std::vector<MigrationCommand> commands;
+  for (int b = 0; b < num_batches && BatchCommands(cj, b, commands); ++b) {
+    for (int j = 0; j < static_cast<int>(commands.size()); ++j) {
+      // Batches after the in-flight one never started.
+      CommandFate fate = CommandFate::kNotApplied;
+      if (b < in_flight.batch ||
+          (b == in_flight.batch && j < in_flight.prefix)) {
+        fate = CommandFate::kApplied;
+      } else if (b == in_flight.batch &&
+                 (in_flight.prefix < 0 ||
+                  (journal_torn_tail && j == in_flight.prefix))) {
+        // A torn journal tail means the frame recording this batch's fate
+        // may have been lost, so an unexplainable state is classified
+        // kTorn rather than guessed.
+        fate = CommandFate::kTorn;
       }
-      continue;
-    }
-    if (!past_frontier) {
-      // The in-flight batch: longest applied prefix that explains the
-      // observed placement. A torn journal tail means the frame recording
-      // this batch's fate may have been lost, so an unexplainable state is
-      // classified kTorn rather than guessed.
-      int prefix = -1;
-      Placement probe = expected.Rebind(cluster);
-      if (probe.SymmetricDiff(observed) == 0) prefix = 0;
-      for (int j = 1; j <= static_cast<int>(commands.size()); ++j) {
-        if (!ApplyCommand(probe, commands[j - 1])) break;
-        if (probe.SymmetricDiff(observed) == 0) prefix = j;
-      }
-      for (int j = 0; j < static_cast<int>(commands.size()); ++j) {
-        CommandFate fate;
-        if (prefix < 0) {
-          fate = CommandFate::kTorn;
-        } else if (j < prefix) {
-          fate = CommandFate::kApplied;
-        } else {
-          fate = journal_torn_tail && j == prefix ? CommandFate::kTorn
-                                                  : CommandFate::kNotApplied;
-        }
-        out.push_back({b, commands[j], fate});
-      }
-      past_frontier = true;
-      continue;
-    }
-    // Batches after the in-flight one never started.
-    for (const MigrationCommand& cmd : commands) {
-      out.push_back({b, cmd, CommandFate::kNotApplied});
+      out.push_back({b, commands[j], fate});
     }
   }
   return out;
@@ -625,129 +605,56 @@ std::vector<CommandClassification> ClassifyInFlightCommands(
 StatusOr<RollForwardResult> RollForwardExecution(
     const Cluster& cluster, const CycleJournal& cj,
     const Placement& cycle_start, Placement& observed,
-    double min_alive_fraction, WorkflowJournal* journal) {
+    ClusterActions& actions, MigrationExecutorOptions options) {
   if (!cj.have_plan) {
     return InternalError("roll-forward without a journaled plan");
   }
   RollForwardResult result;
-  const Placement target = TargetFromPlan(cluster, cj.plan);
-  Placement expected = cycle_start.Rebind(cluster);
+  InFlightBatch in_flight =
+      FindInFlightBatch(cluster, cj, cycle_start, observed);
   const int num_batches = NumBatches(cj);
-  bool abandon = false;
-  bool past_frontier = false;
-
-  for (int b = 0; b < num_batches && !abandon; ++b) {
-    std::vector<MigrationCommand> commands;
-    if (!BatchCommands(cj, b, commands)) {
-      abandon = true;  // replan rewrote batches the journal never recorded
-      break;
-    }
-    if (!past_frontier && cj.batch_commits.count(b)) {
-      for (const MigrationCommand& cmd : commands) {
-        if (!ApplyCommand(expected, cmd)) {
-          abandon = true;
-          break;
-        }
-        ++result.commands_pre_applied;
-      }
-      continue;
-    }
-    if (!past_frontier) {
-      past_frontier = true;
-      // Find the applied prefix of the in-flight batch.
-      int prefix = -1;
-      Placement probe = expected.Rebind(cluster);
-      if (probe.SymmetricDiff(observed) == 0) prefix = 0;
-      for (int j = 1; j <= static_cast<int>(commands.size()); ++j) {
-        if (!ApplyCommand(probe, commands[j - 1])) break;
-        if (probe.SymmetricDiff(observed) == 0) prefix = j;
-      }
-      if (prefix < 0) {
-        abandon = true;  // observed world matches no journaled prefix
+  MigrationPlan rest;
+  result.abandoned = in_flight.prefix < 0;
+  if (!result.abandoned && in_flight.batch < num_batches) {
+    // The in-flight batch keeps its ordinal even when nothing of it is
+    // left, so its commit record lands and later ordinals stay aligned.
+    in_flight.commands.erase(in_flight.commands.begin(),
+                             in_flight.commands.begin() + in_flight.prefix);
+    rest.batches.push_back(std::move(in_flight.commands));
+    for (int b = in_flight.batch + 1; b < num_batches; ++b) {
+      std::vector<MigrationCommand> commands;
+      if (!BatchCommands(cj, b, commands)) {
+        result.abandoned = true;  // replan rewrote batches the journal lost
         break;
       }
-      result.commands_pre_applied += prefix;
-      for (int j = prefix; j < static_cast<int>(commands.size()); ++j) {
-        if (!ApplyCommand(observed, commands[j])) {
-          abandon = true;
-          break;
-        }
-        ++result.commands_rolled_forward;
-      }
-      if (abandon) break;
-      ++result.batches_rolled_forward;
-      AuditState(cluster, observed, min_alive_fraction,
-                 result.sla_violations, result.feasibility_violations);
-      if (journal != nullptr && !cj.batch_commits.count(b)) {
-        JournalRecord commit;
-        commit.type = JournalRecordType::kBatchCommit;
-        commit.cycle = cj.plan.cycle;
-        commit.batch = b;
-        RASA_RETURN_IF_ERROR(journal->Append(commit));
-      }
-      continue;
-    }
-    // Batches that never started: execute them in full.
-    for (const MigrationCommand& cmd : commands) {
-      if (!ApplyCommand(observed, cmd)) {
-        abandon = true;
-        break;
-      }
-      ++result.commands_rolled_forward;
-    }
-    if (abandon) break;
-    ++result.batches_rolled_forward;
-    AuditState(cluster, observed, min_alive_fraction, result.sla_violations,
-               result.feasibility_violations);
-    if (journal != nullptr) {
-      JournalRecord commit;
-      commit.type = JournalRecordType::kBatchCommit;
-      commit.cycle = cj.plan.cycle;
-      commit.batch = b;
-      RASA_RETURN_IF_ERROR(journal->Append(commit));
+      rest.batches.push_back(std::move(commands));
     }
   }
-
-  if (abandon || observed.SymmetricDiff(target) != 0) {
-    // The journaled path cannot be replayed against this world (chaos
-    // interference, lost replan records). Reconcile straight to the
-    // journaled target instead — the intent is durable even when the path
-    // is not.
-    result.abandoned = abandon;
-    ReconcileToTarget(cluster, target, observed,
-                      result.feasibility_violations);
-    AuditState(cluster, observed, min_alive_fraction, result.sla_violations,
-               result.feasibility_violations);
+  result.commands_pre_applied =
+      in_flight.commands_committed + std::max(in_flight.prefix, 0);
+  if (result.abandoned) {
+    rest.batches.clear();
+    in_flight.batch = num_batches;
   }
-  result.reached_target = observed.SymmetricDiff(target) == 0;
-
-  if (journal != nullptr && !cj.exec_done) {
-    JournalRecord done;
-    done.type = JournalRecordType::kExecDone;
-    done.cycle = cj.plan.cycle;
-    done.reached_target = result.reached_target;
-    done.batches_executed = num_batches;
-    done.commands_succeeded =
-        result.commands_pre_applied + result.commands_rolled_forward;
-    done.sla_violations = result.sla_violations;
-    done.feasibility_violations = result.feasibility_violations;
-    RASA_RETURN_IF_ERROR(journal->Append(done));
-  }
+  options.journal_cycle = cj.plan.cycle;
+  options.journal_first_batch = in_flight.batch;
+  options.seed = cj.plan.exec_seed;
+  result.exec = ExecuteMigration(cluster, observed,
+                                 TargetFromPlan(cluster, cj.plan), rest,
+                                 actions, options);
   return result;
 }
 
 int RollForwardDrift(const Cluster& cluster,
                      const std::vector<DriftMove>& moves,
                      const Placement& pre_drift, Placement& observed) {
-  int prefix = -1;
-  Placement probe = pre_drift.Rebind(cluster);
-  if (probe.SymmetricDiff(observed) == 0) prefix = 0;
-  for (int j = 1; j <= static_cast<int>(moves.size()); ++j) {
-    const DriftMove& m = moves[j - 1];
-    if (!probe.Remove(m.from, m.service).ok()) break;
-    probe.Add(m.to, m.service);
-    if (probe.SymmetricDiff(observed) == 0) prefix = j;
-  }
+  const int prefix = AppliedPrefix(
+      cluster, pre_drift, observed, static_cast<int>(moves.size()),
+      [&](Placement& probe, int j) {
+        if (!probe.Remove(moves[j].from, moves[j].service).ok()) return false;
+        probe.Add(moves[j].to, moves[j].service);
+        return true;
+      });
   if (prefix < 0) return -1;
   int applied = 0;
   for (int j = prefix; j < static_cast<int>(moves.size()); ++j) {

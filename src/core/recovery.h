@@ -14,6 +14,7 @@
 #include "common/statusor.h"
 #include "core/delta.h"
 #include "core/migration.h"
+#include "core/migration_executor.h"
 
 namespace rasa {
 
@@ -32,18 +33,24 @@ namespace rasa {
 // Checkpoints
 
 /// Aggregate workflow counters carried across a resume (the persistent part
-/// of WorkflowReport).
+/// of WorkflowReport, which derives from this).
 struct WorkflowCounters {
   int executions = 0;
   int dry_runs = 0;
   int rollbacks = 0;
+  /// Cycles whose optimizer call errored out (counted as dry-runs).
   int solver_failures = 0;
+  /// Executions that stopped short of the target placement.
   int partial_executions = 0;
+  // Executor totals across all cycles.
   int commands_failed = 0;
   int command_retries = 0;
   int replans = 0;
+  /// Post-batch invariant audits that failed (must stay 0, even under
+  /// injected faults).
   int sla_violations = 0;
   int feasibility_violations = 0;
+  // Chaos-harness totals (0 unless inject_faults).
   int faults_injected = 0;
   int cordons_fired = 0;
 };
@@ -198,7 +205,10 @@ struct CycleJournal {
   bool have_plan = false;
   JournalRecord plan;
   /// Batch intents in ordinal order (explicit commands, so recovery does
-  /// not depend on re-deriving the plan).
+  /// not depend on re-deriving the plan). The first intent per ordinal
+  /// wins: a roll-forward re-journals only the unapplied suffix of the
+  /// in-flight batch under its ordinal, and the full batch must stay the
+  /// one a later recovery matches prefixes against.
   std::map<int, JournalRecord> batch_intents;
   std::set<int> batch_commits;
   bool exec_done = false;
@@ -225,10 +235,10 @@ struct RecoveryAnalysis {
 /// checkpoint exists; journal damage degrades to a torn-tail note.
 StatusOr<RecoveryAnalysis> AnalyzeWorkflowState(const std::string& state_dir);
 
-/// How recovery classified one journaled in-flight command (the ISSUE's
-/// applied / not-applied / torn trichotomy). kTorn marks commands whose
-/// intent/commit records were lost to a torn journal tail — their fate is
-/// recovered from the observed placement instead of the journal.
+/// How recovery classified one journaled in-flight command (applied /
+/// not-applied / torn). kTorn marks commands whose intent/commit records
+/// were lost to a torn journal tail — their fate is recovered from the
+/// observed placement instead of the journal.
 enum class CommandFate { kApplied, kNotApplied, kTorn };
 
 struct CommandClassification {
@@ -259,35 +269,38 @@ struct RecoveryStats {
   int batches_rolled_forward = 0;
   int drift_moves_rolled_forward = 0;
   /// Roll-forward could not match any prefix of the journaled intent (e.g.
-  /// chaos drifted the world behind the journal's back) and fell back to
-  /// reconciling the observed placement straight to the intended end state.
+  /// chaos drifted the world behind the journal's back) and replanned from
+  /// the observed placement straight to the intended end state.
   int phases_abandoned = 0;
   int cycles_completed_from_journal = 0;
 };
 
+/// What a roll-forward adds to the executor's report of the work it ran.
 struct RollForwardResult {
-  bool reached_target = false;
+  MigrationExecutionReport exec;
+  /// The observed world matched no journaled prefix; `exec` replanned from
+  /// it to the journaled target.
   bool abandoned = false;
+  /// Commands the interrupted run had applied: every committed batch plus
+  /// the matched prefix of the in-flight one.
   int commands_pre_applied = 0;
-  int commands_rolled_forward = 0;
-  int batches_rolled_forward = 0;
-  int sla_violations = 0;
-  int feasibility_violations = 0;
 };
 
-/// Rolls an interrupted execution forward: verifies committed batches,
-/// finds the applied prefix of the in-flight batch, applies the remaining
-/// commands batch-by-batch (re-running the SLA/feasibility audit after each
-/// batch), and — when the observed world cannot be matched to any prefix —
-/// abandons the journaled path and reconciles `observed` directly to the
-/// journaled target (removals before additions, so capacity feasibility is
-/// never transiently violated). When `journal` is non-null the missing
-/// batch commits and the exec-done record are appended, restoring the
-/// invariant that a completed cycle is fully journaled.
+/// Rolls an interrupted execution forward through ExecuteMigration: finds
+/// the in-flight batch and its applied prefix, then executes the rest of
+/// that batch plus every later journaled batch against `actions` (which
+/// must act on `observed`), with `options.journal_first_batch` continuing
+/// the interrupted run's batch ordinals. When the observed world matches no
+/// prefix the journaled path is abandoned: an empty plan makes the
+/// executor replan from `observed` to the journaled target under the SLA
+/// floor. Sets the options' journal cycle, first batch and seed from the
+/// journal; the caller supplies the rest (retry, replans, journal, crash
+/// hooks) and appends the kExecDone record, which the executor never
+/// writes.
 StatusOr<RollForwardResult> RollForwardExecution(
     const Cluster& cluster, const CycleJournal& cycle_journal,
     const Placement& cycle_start, Placement& observed,
-    double min_alive_fraction, WorkflowJournal* journal);
+    ClusterActions& actions, MigrationExecutorOptions options);
 
 /// Rolls an interrupted drift forward: finds the applied prefix of `moves`
 /// against `observed` (starting from `pre_drift`) and applies the rest.

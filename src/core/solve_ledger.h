@@ -6,32 +6,6 @@
 
 namespace rasa {
 
-/// Outcome of one rung of the degradation ladder for a subproblem.
-enum class AttemptOutcome {
-  kNotRun,   // the ladder never reached this rung
-  kOk,       // solver returned a solution
-  kFailed,   // solver ran and failed (OOT / infeasible model / error)
-  kExpired,  // global budget was gone before the attempt
-  kPruned,   // skipped by the circuit breaker
-};
-
-const char* AttemptOutcomeToString(AttemptOutcome outcome);
-
-/// One solver attempt as recorded by the flight recorder: which algorithm
-/// ran on which rung, how it ended, and its full introspection
-/// (observation-only; nothing here ever feeds back into the solve).
-struct SolveAttempt {
-  PoolAlgorithm algorithm = PoolAlgorithm::kCg;
-  AttemptOutcome outcome = AttemptOutcome::kNotRun;
-  double seconds = 0.0;
-  /// At most one of the two is populated, matching `algorithm`, and only
-  /// when the solver actually ran.
-  bool has_cg = false;
-  CgStats cg;
-  bool has_mip = false;
-  SubproblemMipStats mip;
-};
-
 /// Flight-recorder entry for one per-subproblem solve: everything needed to
 /// reconstruct why the ladder ended where it did and what quality bound the
 /// solvers proved. Folded into the result in canonical solve order, so the

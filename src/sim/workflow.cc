@@ -79,6 +79,24 @@ double MaxMachineUtilization(const Cluster& cluster,
   return worst;
 }
 
+// The kExecDone record of a finished execution: the executor's report plus
+// what an interrupted run had already done before it (0 for a live run).
+JournalRecord ExecDoneRecord(int cycle, const MigrationExecutionReport& exec,
+                             int batches_before, int commands_before) {
+  JournalRecord done;
+  done.type = JournalRecordType::kExecDone;
+  done.cycle = cycle;
+  done.reached_target = exec.reached_target;
+  done.batches_executed = batches_before + exec.batches_executed;
+  done.commands_succeeded = commands_before + exec.commands_succeeded;
+  done.commands_failed = exec.commands_failed;
+  done.retries = exec.retries;
+  done.replans = exec.replans;
+  done.sla_violations = exec.sla_violations;
+  done.feasibility_violations = exec.feasibility_violations;
+  return done;
+}
+
 // Runs one workflow invocation: the periodic control loop of §III-A plus
 // the durability layer (checkpoints + write-ahead journal) and the resume
 // path that completes interrupted cycles from the journal.
@@ -109,6 +127,15 @@ class WorkflowRunner {
                    const JournalRecord* drift_rec, const Placement* pre_drift);
   Status WriteCheckpoint(int next_cycle);
   WorkflowCounters CurrentCounters() const;
+  // Executor wiring shared by live and rolled-forward executions: retry
+  // policy, replans, journal and, under fault injection, the faulty
+  // actions and crash hooks.
+  MigrationExecutorOptions ExecutorOptions();
+  ClusterActions& Actions();
+  // Folds a finished execution's kExecDone record into the cycle and
+  // workflow reports; FinishExecution journals it first.
+  void CountExecution(const JournalRecord& done, CycleReport& cr);
+  Status FinishExecution(const JournalRecord& done, CycleReport& cr);
 
   const Cluster& cluster_;
   const Placement& initial_;
@@ -117,6 +144,7 @@ class WorkflowRunner {
 
   WorkflowReport report_;
   Placement live_;
+  PlacementActions base_actions_{live_};
   Rng rng_;
   // Telemetry pipeline (null when disabled) + the previous cycle's scrape
   // the per-cycle registry delta is computed against.
@@ -129,15 +157,13 @@ class WorkflowRunner {
   IncrementalState inc_state_;
   std::vector<int> frozen_cooldown_;
   FaultInjector injector_;
+  FaultyClusterActions faulty_actions_{base_actions_, injector_};
   std::unique_ptr<ThreadPool> solver_pool_;
 
   bool durable_ = false;
   std::unique_ptr<WorkflowJournal> journal_;
   std::shared_ptr<const Cluster> checkpoint_cluster_;
   LedgerSummary last_ledger_;
-  // Chaos totals restored from the checkpoint (the injector restarts at 0).
-  int base_faults_ = 0;
-  int base_cordons_ = 0;
   bool crashed_ = false;
   int start_cycle_ = 0;
   RecoveryAnalysis analysis_;          // resume only
@@ -146,20 +172,57 @@ class WorkflowRunner {
 };
 
 WorkflowCounters WorkflowRunner::CurrentCounters() const {
-  WorkflowCounters c;
-  c.executions = report_.executions;
-  c.dry_runs = report_.dry_runs;
-  c.rollbacks = report_.rollbacks;
-  c.solver_failures = report_.solver_failures;
-  c.partial_executions = report_.partial_executions;
-  c.commands_failed = report_.commands_failed;
-  c.command_retries = report_.command_retries;
-  c.replans = report_.replans;
-  c.sla_violations = report_.sla_violations;
-  c.feasibility_violations = report_.feasibility_violations;
-  c.faults_injected = base_faults_ + injector_.failures_injected();
-  c.cordons_fired = base_cordons_ + injector_.cordons_fired();
+  // The report's chaos totals hold what the checkpoint carried in; the
+  // injector counts this invocation's share from 0.
+  WorkflowCounters c = report_;
+  c.faults_injected += injector_.failures_injected();
+  c.cordons_fired += injector_.cordons_fired();
   return c;
+}
+
+MigrationExecutorOptions WorkflowRunner::ExecutorOptions() {
+  MigrationExecutorOptions o;
+  o.retry = options_.command_retry;
+  o.min_alive_fraction = options_.rasa.migration.min_alive_fraction;
+  o.max_replans = options_.max_replans;
+  o.journal = journal_.get();
+  if (options_.inject_faults) {
+    o.crash_after_command = [this] {
+      return injector_.CrashOnCommandApplied();
+    };
+    o.crash_after_batch = [this] { return injector_.CrashOnBatchComplete(); };
+  }
+  return o;
+}
+
+ClusterActions& WorkflowRunner::Actions() {
+  if (options_.inject_faults) return faulty_actions_;
+  return base_actions_;
+}
+
+void WorkflowRunner::CountExecution(const JournalRecord& done,
+                                    CycleReport& cr) {
+  cr.executed = true;
+  cr.reached_target = done.reached_target;
+  cr.moved_containers = done.commands_succeeded;
+  cr.migration_batches = done.batches_executed;
+  cr.commands_failed = done.commands_failed;
+  cr.command_retries = done.retries;
+  cr.replans = done.replans;
+  ++report_.executions;
+  if (!done.reached_target) ++report_.partial_executions;
+  report_.commands_failed += done.commands_failed;
+  report_.command_retries += done.retries;
+  report_.replans += done.replans;
+  report_.sla_violations += done.sla_violations;
+  report_.feasibility_violations += done.feasibility_violations;
+}
+
+Status WorkflowRunner::FinishExecution(const JournalRecord& done,
+                                       CycleReport& cr) {
+  if (durable_) RASA_RETURN_IF_ERROR(journal_->Append(done));
+  CountExecution(done, cr);
+  return Status::OK();
 }
 
 Status WorkflowRunner::WriteCheckpoint(int next_cycle) {
@@ -209,18 +272,7 @@ Status WorkflowRunner::InitResume() {
   frozen_cooldown_ = c.frozen_cooldown;
   last_ledger_ = c.ledger;
   inc_state_ = c.incremental;
-  report_.executions = c.counters.executions;
-  report_.dry_runs = c.counters.dry_runs;
-  report_.rollbacks = c.counters.rollbacks;
-  report_.solver_failures = c.counters.solver_failures;
-  report_.partial_executions = c.counters.partial_executions;
-  report_.commands_failed = c.counters.commands_failed;
-  report_.command_retries = c.counters.command_retries;
-  report_.replans = c.counters.replans;
-  report_.sla_violations = c.counters.sla_violations;
-  report_.feasibility_violations = c.counters.feasibility_violations;
-  base_faults_ = c.counters.faults_injected;
-  base_cordons_ = c.counters.cordons_fired;
+  static_cast<WorkflowCounters&>(report_) = c.counters;
   start_cycle_ = c.next_cycle;
   report_.resumed_cycle = start_cycle_;
   report_.recovery.recovered = true;
@@ -486,12 +538,9 @@ Status WorkflowRunner::RunCycleNormal(int cycle) {
             live_.Add(mv.to, mv.service);
           }
         }
-        MigrationExecutorOptions exec_options;
-        exec_options.retry = options_.command_retry;
-        exec_options.min_alive_fraction =
-            rasa_options.migration.min_alive_fraction;
-        exec_options.max_replans = options_.max_replans;
+        MigrationExecutorOptions exec_options = ExecutorOptions();
         exec_options.seed = rng_.Next();
+        exec_options.journal_cycle = cycle;
         if (durable_) {
           // WAL plan record: the full intent (target + batches + the RNG
           // state after every pre-execution draw) is durable before the
@@ -510,58 +559,17 @@ Status WorkflowRunner::RunCycleNormal(int cycle) {
           plan.batches = result.migration.batches;
           RASA_RETURN_IF_ERROR(journal_->Append(plan));
         }
-        PlacementActions base_actions(live_);
-        FaultyClusterActions faulty_actions(base_actions, injector_);
-        ClusterActions& actions =
-            options_.inject_faults
-                ? static_cast<ClusterActions&>(faulty_actions)
-                : static_cast<ClusterActions&>(base_actions);
-        exec_options.journal = journal_.get();
-        exec_options.journal_cycle = cycle;
-        if (options_.inject_faults) {
-          exec_options.crash_after_command = [this] {
-            return injector_.CrashOnCommandApplied();
-          };
-          exec_options.crash_after_batch = [this] {
-            return injector_.CrashOnBatchComplete();
-          };
-        }
-        const MigrationExecutionReport exec = ExecuteMigration(
-            cluster_, live_, candidate, result.migration, actions, exec_options);
+        const MigrationExecutionReport exec =
+            ExecuteMigration(cluster_, live_, candidate, result.migration,
+                             Actions(), exec_options);
         if (exec.crashed) {
           // Stopped dead mid-execution: the live placement is whatever
           // the applied commands left behind; nothing else runs.
           crashed_ = true;
           return Status::OK();
         }
-        cr.executed = true;
-        cr.reached_target = exec.reached_target;
-        cr.moved_containers = exec.commands_succeeded;
-        cr.migration_batches = exec.batches_executed;
-        cr.commands_failed = exec.commands_failed;
-        cr.command_retries = exec.retries;
-        cr.replans = exec.replans;
-        ++report_.executions;
-        if (!exec.reached_target) ++report_.partial_executions;
-        report_.commands_failed += exec.commands_failed;
-        report_.command_retries += exec.retries;
-        report_.replans += exec.replans;
-        report_.sla_violations += exec.sla_violations;
-        report_.feasibility_violations += exec.feasibility_violations;
-        if (durable_) {
-          JournalRecord done;
-          done.type = JournalRecordType::kExecDone;
-          done.cycle = cycle;
-          done.reached_target = exec.reached_target;
-          done.batches_executed = exec.batches_executed;
-          done.commands_succeeded = exec.commands_succeeded;
-          done.commands_failed = exec.commands_failed;
-          done.retries = exec.retries;
-          done.replans = exec.replans;
-          done.sla_violations = exec.sla_violations;
-          done.feasibility_violations = exec.feasibility_violations;
-          RASA_RETURN_IF_ERROR(journal_->Append(done));
-        }
+        RASA_RETURN_IF_ERROR(
+            FinishExecution(ExecDoneRecord(cycle, exec, 0, 0), cr));
       }
     }
   }
@@ -620,7 +628,6 @@ Status WorkflowRunner::CompleteCycleFromJournal(int cycle,
       break;
     case CycleJournal::Decision::kExecute: {
       RASA_RETURN_IF_ERROR(rng_.RestoreState(cj.plan.rng_state));
-      cr.executed = true;
       cr.predicted_affinity = cj.plan.predicted_affinity;
       Placement target(cluster_);
       for (const std::array<int, 3>& t : cj.plan.target) {
@@ -629,18 +636,7 @@ Status WorkflowRunner::CompleteCycleFromJournal(int cycle,
       if (cj.exec_done) {
         // Execution finished before the crash; the observed placement is
         // already its end state.
-        const JournalRecord& e = cj.exec_record;
-        cr.reached_target = e.reached_target;
-        cr.moved_containers = e.commands_succeeded;
-        cr.migration_batches = e.batches_executed;
-        cr.commands_failed = e.commands_failed;
-        cr.command_retries = e.retries;
-        cr.replans = e.replans;
-        report_.commands_failed += e.commands_failed;
-        report_.command_retries += e.retries;
-        report_.replans += e.replans;
-        report_.sla_violations += e.sla_violations;
-        report_.feasibility_violations += e.feasibility_violations;
+        CountExecution(cj.exec_record, cr);
       } else {
         // Classify every journaled command against the observed world
         // before mutating it, then roll the interrupted execution forward.
@@ -663,25 +659,20 @@ Status WorkflowRunner::CompleteCycleFromJournal(int cycle,
         RASA_ASSIGN_OR_RETURN(
             const RollForwardResult rf,
             RollForwardExecution(cluster_, cj, expected_start_, live_,
-                                 options_.rasa.migration.min_alive_fraction,
-                                 journal_.get()));
-        cr.reached_target = rf.reached_target;
-        cr.moved_containers =
-            rf.commands_pre_applied + rf.commands_rolled_forward;
-        int num_batches = static_cast<int>(cj.plan.batches.size());
-        if (!cj.batch_intents.empty()) {
-          num_batches =
-              std::max(num_batches, cj.batch_intents.rbegin()->first + 1);
+                                 Actions(), ExecutorOptions()));
+        if (rf.exec.crashed) {
+          crashed_ = true;  // died again, mid-recovery
+          return Status::OK();
         }
-        cr.migration_batches = num_batches;
-        report_.sla_violations += rf.sla_violations;
-        report_.feasibility_violations += rf.feasibility_violations;
-        report_.recovery.commands_rolled_forward += rf.commands_rolled_forward;
-        report_.recovery.batches_rolled_forward += rf.batches_rolled_forward;
+        report_.recovery.commands_rolled_forward += rf.exec.commands_succeeded;
+        report_.recovery.batches_rolled_forward += rf.exec.batches_executed;
         if (rf.abandoned) ++report_.recovery.phases_abandoned;
+        RASA_RETURN_IF_ERROR(FinishExecution(
+            ExecDoneRecord(cycle, rf.exec,
+                           static_cast<int>(cj.batch_commits.size()),
+                           rf.commands_pre_applied),
+            cr));
       }
-      ++report_.executions;
-      if (!cr.reached_target) ++report_.partial_executions;
       pre_drift = cr.reached_target ? std::move(target) : live_;
       break;
     }
@@ -749,8 +740,8 @@ StatusOr<WorkflowReport> WorkflowRunner::Run() {
     RASA_RETURN_IF_ERROR(RunCycleNormal(cycle));
   }
 
-  report_.faults_injected = base_faults_ + injector_.failures_injected();
-  report_.cordons_fired = base_cordons_ + injector_.cordons_fired();
+  report_.faults_injected += injector_.failures_injected();
+  report_.cordons_fired += injector_.cordons_fired();
   report_.crashed = crashed_;
   report_.final_placement = std::move(live_);
   return std::move(report_);

@@ -66,9 +66,10 @@ struct WorkflowOptions {
   std::string state_dir;
   /// Resume an interrupted run from `state_dir` instead of starting fresh:
   /// recovery reconciles the journal against `initial` (the observed live
-  /// placement), rolls the interrupted cycle forward or abandons it
-  /// cleanly, re-runs the SLA/feasibility audits, and continues at the
-  /// interrupted cycle. Requires a non-empty `state_dir`.
+  /// placement), finishes the interrupted execution through the migration
+  /// executor (the rest of the journaled path, or a replan to its target
+  /// when no journaled prefix matches), and continues at the interrupted
+  /// cycle. Requires a non-empty `state_dir`.
   bool resume = false;
   /// Delta-aware re-optimization (off by default): cycles after the first
   /// call Optimize with a carried IncrementalState, re-solving only the
@@ -154,27 +155,11 @@ struct CycleReport {
   CycleTelemetry telemetry;
 };
 
-struct WorkflowReport {
+/// The aggregate counters (core/recovery.h WorkflowCounters) are carried
+/// across a resume, so a resumed report totals the whole run.
+struct WorkflowReport : WorkflowCounters {
   std::vector<CycleReport> cycles;
   Placement final_placement;
-  int executions = 0;
-  int dry_runs = 0;
-  int rollbacks = 0;
-  /// Cycles whose optimizer call errored out (counted as dry-runs).
-  int solver_failures = 0;
-  /// Executions that stopped short of the target placement.
-  int partial_executions = 0;
-  // Executor totals across all cycles.
-  int commands_failed = 0;
-  int command_retries = 0;
-  int replans = 0;
-  /// Post-batch invariant audits that failed (must stay 0, even under
-  /// injected faults).
-  int sla_violations = 0;
-  int feasibility_violations = 0;
-  // Chaos-harness totals (0 unless inject_faults).
-  int faults_injected = 0;
-  int cordons_fired = 0;
   /// A simulated crash point fired and stopped the run dead: the report
   /// covers only the work up to the crash and `final_placement` is the live
   /// cluster state at the instant of death (what a restarted controller

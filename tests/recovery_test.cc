@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <set>
 #include <string>
 
 #include "common/rng.h"
@@ -333,10 +334,39 @@ TEST(RecoveryTest, TornJournalTailMarksInFlightBatchTorn) {
   EXPECT_GT(torn, 0);
 }
 
+// Rolls `cj` forward on `observed` through PlacementActions, journaling to
+// `journal` when non-null.
+StatusOr<RollForwardResult> RollForward(const Cluster& cluster,
+                                        const CycleJournal& cj,
+                                        const Placement& start,
+                                        Placement& observed,
+                                        WorkflowJournal* journal) {
+  PlacementActions actions(observed);
+  MigrationExecutorOptions options;
+  options.min_alive_fraction = 0.5;
+  options.journal = journal;
+  return RollForwardExecution(cluster, cj, start, observed, actions, options);
+}
+
 TEST(RecoveryTest, RollsInterruptedBatchForwardToTarget) {
+  const std::string dir = FreshStateDir("roll_forward");
   std::shared_ptr<Cluster> cluster = SmallCluster();
   const Placement start = StartPlacement(*cluster);
   const CycleJournal cj = InterruptedExecution();
+
+  // The journal as the interrupted run left it: plan, batch 0 committed,
+  // batch 1's intent without a commit.
+  StatusOr<WorkflowJournal> journal = WorkflowJournal::Open(dir);
+  ASSERT_TRUE(journal.ok()) << journal.status();
+  ASSERT_TRUE(journal->Append(cj.plan).ok());
+  for (int b = 0; b < 2; ++b) {
+    ASSERT_TRUE(journal->Append(cj.batch_intents.at(b)).ok());
+  }
+  JournalRecord commit;
+  commit.type = JournalRecordType::kBatchCommit;
+  commit.cycle = 2;
+  commit.batch = 0;
+  ASSERT_TRUE(journal->Append(commit).ok());
 
   Placement observed(*cluster);
   observed.Add(0, 0, 1);
@@ -344,16 +374,17 @@ TEST(RecoveryTest, RollsInterruptedBatchForwardToTarget) {
   observed.Add(1, 1, 2);
   observed.Add(2, 2, 1);  // batch 1's create never ran
 
-  StatusOr<RollForwardResult> rf = RollForwardExecution(
-      *cluster, cj, start, observed, /*min_alive_fraction=*/0.5,
-      /*journal=*/nullptr);
+  StatusOr<RollForwardResult> rf =
+      RollForward(*cluster, cj, start, observed, &*journal);
   ASSERT_TRUE(rf.ok()) << rf.status();
-  EXPECT_TRUE(rf->reached_target);
+  EXPECT_TRUE(rf->exec.reached_target);
   EXPECT_FALSE(rf->abandoned);
   EXPECT_EQ(rf->commands_pre_applied, 3);
-  EXPECT_EQ(rf->commands_rolled_forward, 1);
-  EXPECT_EQ(rf->sla_violations, 0);
-  EXPECT_EQ(rf->feasibility_violations, 0);
+  EXPECT_EQ(rf->exec.commands_succeeded, 1);
+  EXPECT_EQ(rf->exec.batches_executed, 1);
+  EXPECT_EQ(rf->exec.replans, 0);
+  EXPECT_EQ(rf->exec.sla_violations, 0);
+  EXPECT_EQ(rf->exec.feasibility_violations, 0);
 
   // Final placement is exactly the journaled target.
   EXPECT_EQ(observed.CountOn(0, 0), 1);
@@ -361,9 +392,20 @@ TEST(RecoveryTest, RollsInterruptedBatchForwardToTarget) {
   EXPECT_EQ(observed.CountOn(1, 1), 2);
   EXPECT_EQ(observed.CountOn(2, 2), 1);
   EXPECT_EQ(observed.CountOn(3, 2), 1);
+
+  // The roll-forward journaled the unapplied suffix under batch 1's ordinal
+  // and committed it. The analysis keeps the first intent per ordinal, so a
+  // later recovery still matches prefixes against the full batch.
+  ASSERT_TRUE(SaveWorkflowCheckpoint(dir, MakeCheckpoint(cluster, 2)).ok());
+  StatusOr<RecoveryAnalysis> analysis = AnalyzeWorkflowState(dir);
+  ASSERT_TRUE(analysis.ok()) << analysis.status();
+  const CycleJournal& replayed = analysis->cycles.at(2);
+  EXPECT_EQ(replayed.batch_commits, (std::set<int>{0, 1}));
+  EXPECT_EQ(replayed.batch_intents.at(1).commands.size(), 2u);
 }
 
 TEST(RecoveryTest, UnmatchableObservedStateAbandonsAndReconciles) {
+  const std::string dir = FreshStateDir("abandon");
   std::shared_ptr<Cluster> cluster = SmallCluster();
   const Placement start = StartPlacement(*cluster);
   const CycleJournal cj = InterruptedExecution();
@@ -374,15 +416,37 @@ TEST(RecoveryTest, UnmatchableObservedStateAbandonsAndReconciles) {
   observed.Add(0, 0, 2);
   observed.Add(3, 1, 2);
   observed.Add(2, 2, 2);
+  const Placement before = observed;
 
-  StatusOr<RollForwardResult> rf = RollForwardExecution(
-      *cluster, cj, start, observed, /*min_alive_fraction=*/0.5,
-      /*journal=*/nullptr);
+  StatusOr<WorkflowJournal> journal = WorkflowJournal::Open(dir);
+  ASSERT_TRUE(journal.ok()) << journal.status();
+  StatusOr<RollForwardResult> rf =
+      RollForward(*cluster, cj, start, observed, &*journal);
   ASSERT_TRUE(rf.ok()) << rf.status();
   EXPECT_TRUE(rf->abandoned);
-  // Reconciliation drives the observed world to the journaled target where
-  // capacity allows; every service keeps a feasible state throughout.
-  EXPECT_TRUE(observed.CheckFeasible(false).ok());
+  // The machines are roomy: the replan reaches the journaled target.
+  EXPECT_TRUE(rf->exec.reached_target);
+  EXPECT_EQ(observed.CountOn(1, 1), 2);
+  EXPECT_EQ(observed.CountOn(3, 2), 1);
+  EXPECT_EQ(rf->exec.sla_violations, 0);
+  EXPECT_EQ(rf->exec.feasibility_violations, 0);
+
+  // Every command the roll-forward ran is on the journal, numbered after
+  // the interrupted run's batches. Replaying those batches from the
+  // observed world must keep every service at or above its SLA floor after
+  // every batch and end on the placement the roll-forward reached.
+  StatusOr<JournalScan> scan = ReadWorkflowJournal(dir);
+  ASSERT_TRUE(scan.ok()) << scan.status();
+  MigrationPlan replay;
+  for (const JournalRecord& record : scan->records) {
+    if (record.type != JournalRecordType::kBatchIntent) continue;
+    EXPECT_EQ(record.batch, 2 + static_cast<int>(replay.batches.size()));
+    replay.batches.push_back(record.commands);
+  }
+  EXPECT_FALSE(replay.batches.empty());
+  const Status valid =
+      ValidateMigrationPlan(*cluster, before, observed, replay, 0.5);
+  EXPECT_TRUE(valid.ok()) << valid;
 }
 
 TEST(RecoveryTest, RollsDriftForwardFromTheAppliedPrefix) {

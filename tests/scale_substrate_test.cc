@@ -91,11 +91,11 @@ TEST(ScaleSubstrateTest, M4PartitionAndSolveWithinMemoryBudget) {
   for (const Subproblem& sp : partition.subproblems) {
     if (sp.services.size() > largest->services.size()) largest = &sp;
   }
-  PoolAttemptStats stats;
+  SolveAttempt attempt;
   StatusOr<SubproblemSolution> solved = RunPoolAlgorithm(
       PoolAlgorithm::kCg, *snapshot->cluster, *largest,
       partition.base_placement, snapshot->original_placement,
-      Deadline::AfterSeconds(30.0), /*seed=*/29, &stats);
+      Deadline::AfterSeconds(30.0), /*seed=*/29, &attempt);
   EXPECT_TRUE(solved.ok()) << solved.status().ToString();
 
   const size_t peak = PeakRssBytes();

@@ -161,6 +161,52 @@ TEST(WorkflowRecoveryTest, CrashMidCommandInFirstCycle) {
   }
 }
 
+// A second crash during recovery is itself recoverable: cycle 0 dies
+// mid-command, the resume's roll-forward dies after its first command, and
+// the next resume still matches the journaled path (the first intent per
+// batch ordinal wins over the roll-forward's suffix intent) and lands on
+// the uninterrupted run's placement.
+TEST(WorkflowRecoveryTest, CrashDuringRecoveryIsRecoverable) {
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    const WorkflowReport& baseline = Baseline(threads);
+    const std::string dir =
+        FreshStateDir("crash_in_recovery_t" + std::to_string(threads));
+
+    WorkflowOptions crash_options = BaseOptions(threads);
+    crash_options.state_dir = dir;
+    crash_options.inject_faults = true;
+    crash_options.faults.crash_after_commands = 7;
+    const WorkflowReport first =
+        MustRun(crash_options, TestSnapshot().original_placement);
+    ASSERT_TRUE(first.crashed) << "crash point never fired";
+
+    WorkflowOptions crashing_resume = BaseOptions(threads);
+    crashing_resume.state_dir = dir;
+    crashing_resume.resume = true;
+    crashing_resume.inject_faults = true;
+    crashing_resume.faults.crash_after_commands = 1;
+    const WorkflowReport second =
+        MustRun(crashing_resume, first.final_placement);
+    ASSERT_TRUE(second.crashed) << "the roll-forward never crashed";
+    EXPECT_TRUE(second.cycles.empty()) << "crashed outside the roll-forward";
+
+    WorkflowOptions resume_options = BaseOptions(threads);
+    resume_options.state_dir = dir;
+    resume_options.resume = true;
+    const WorkflowReport resumed =
+        MustRun(resume_options, second.final_placement);
+    EXPECT_FALSE(resumed.crashed);
+    EXPECT_EQ(resumed.recovery.phases_abandoned, 0);
+    EXPECT_GT(resumed.recovery.commands_rolled_forward, 0);
+    EXPECT_EQ(resumed.sla_violations, 0);
+    EXPECT_EQ(resumed.feasibility_violations, 0);
+    EXPECT_EQ(resumed.final_placement.DiffCount(baseline.final_placement), 0)
+        << "recovered placement diverged from the uninterrupted run";
+    EXPECT_TRUE(resumed.final_placement.CheckFeasible(false).ok());
+  }
+}
+
 TEST(WorkflowRecoveryTest, CrashMidCommandInLaterCycle) {
   for (int threads : kThreadCounts) {
     // Land mid-way through cycle 1's execution: past all of cycle 0's
